@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke crash-smoke explore cover bench-fanout bench-delta bench-sync bench-obs bench-load bench-tree bench-home bench-store
+.PHONY: check fmt-check vet build test race fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-delta bench-sync bench-obs bench-load bench-tree bench-home bench-store
 
 # check is the full CI gate: formatting, static analysis, build, the
 # complete test suite, the race detector over the concurrency-heavy
@@ -71,6 +71,19 @@ cover:
 			echo "$$pkg coverage $$pct% is below the $$floor% floor"; exit 1; \
 		fi; \
 	done
+
+# bench runs the repository's one end-to-end and per-layer benchmark
+# (benchmark/, declared by BENCHMARK.json): every workload, untraced and
+# traced, about three minutes, results and provenance in
+# .bench_build/run.json. bench-compare judges two such files by
+# BENCHMARK.json's directions and bounds and exits 1 on a regression:
+#   make bench-compare OLD=before.json NEW=after.json
+bench:
+	bash benchmark/run.sh -out .bench_build/run.json
+
+bench-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=a.json NEW=b.json"; exit 2; }
+	bash benchmark/run.sh -compare $(OLD) $(NEW)
 
 bench-fanout:
 	$(GO) run ./cmd/benchmocha -exp ablate-fanout -json

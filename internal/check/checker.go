@@ -332,7 +332,10 @@ func (c *checker) step(ev wire.HistoryEvent) *Violation {
 	case wire.HistTransferSend, wire.HistCrash, wire.HistFault, wire.HistRelay:
 		// Context for reports; no invariant attaches. A relayed push is
 		// checked through the members' own HistApply events, so routing a
-		// version through a relay cannot weaken version discipline.
+		// version through a relay cannot weaken version discipline — in
+		// either frame form: a relay or member that patched a delta-form
+		// push records the digest of the patched blob, which must match
+		// the publisher's like any full-copy apply.
 	}
 	return nil
 }

@@ -38,6 +38,9 @@ type clusterOpts struct {
 	deltaDepth int
 	// wrapStack lets fault tests interpose on a site's transport stack.
 	wrapStack func(site wire.SiteID, s transport.Stack) transport.Stack
+	// wrapDatagram lets fault tests interpose on the packets a site's mnet
+	// endpoint sends (in-flight corruption).
+	wrapDatagram func(site wire.SiteID, d transport.Datagram) transport.Datagram
 	// syncShards overrides the synchronization thread's shard count
 	// (0 = default).
 	syncShards int
@@ -91,7 +94,11 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 	}
 	for i := 1; i <= n; i++ {
 		site := wire.SiteID(i)
-		ep := mnet.NewEndpoint(stacks[site].Datagram(), opts.mnetCfg)
+		dg := stacks[site].Datagram()
+		if opts.wrapDatagram != nil {
+			dg = opts.wrapDatagram(site, dg)
+		}
+		ep := mnet.NewEndpoint(dg, opts.mnetCfg)
 		var stack transport.Stack = stacks[site]
 		if opts.wrapStack != nil {
 			stack = opts.wrapStack(site, stack)

@@ -707,19 +707,33 @@ func (n *Node) PreparePush(lock wire.LockID) (uint64, []wire.ReplicaPayload, err
 // dissemination round. When delta transfer is on and the update log
 // covers the step from the previous version, delta carries the (much
 // smaller) ReplicaDelta encoding of the same update, offered first to
-// targets believed to hold the previous version.
+// targets believed to hold the previous version. payloads and deltaMsg
+// are the unencoded forms of the two, which a RelayPush to a bucket relay
+// carries inside its own frame.
 type pushBlob struct {
-	lock    wire.LockID
-	version uint64
-	blob    []byte
-	delta   []byte
+	lock     wire.LockID
+	version  uint64
+	payloads []wire.ReplicaPayload
+	blob     []byte
+	delta    []byte
+	deltaMsg *wire.ReplicaDelta
 }
 
-// preparePushBlob marshals the PushUpdate exactly once per dissemination.
-func (t *transferService) preparePushBlob(lock wire.LockID, version uint64, payloads []wire.ReplicaPayload) *pushBlob {
-	pu := &wire.PushUpdate{Lock: lock, From: t.node.cfg.Site, Version: version, Replicas: payloads}
-	t.pushMarshals.Add(1)
-	return &pushBlob{lock: lock, version: version, blob: wire.Marshal(pu)}
+// preparePushBlob marshals the PushUpdate exactly once per dissemination,
+// and the delta encoding (when the release built one) beside it. Nil
+// payloads — a relay whose payload cache no longer holds the version —
+// leave blob nil: there is no full copy to fall back to.
+func (t *transferService) preparePushBlob(lock wire.LockID, version uint64, payloads []wire.ReplicaPayload, delta *wire.ReplicaDelta) *pushBlob {
+	pb := &pushBlob{lock: lock, version: version, payloads: payloads, deltaMsg: delta}
+	if payloads != nil {
+		pu := &wire.PushUpdate{Lock: lock, From: t.node.cfg.Site, Version: version, Replicas: payloads}
+		t.pushMarshals.Add(1)
+		pb.blob = wire.Marshal(pu)
+	}
+	if delta != nil {
+		pb.delta = wire.Marshal(delta)
+	}
+	return pb
 }
 
 // PushPayloads disseminates prepared payloads to the target sites over the
@@ -733,17 +747,16 @@ func (n *Node) PushPayloads(ctx context.Context, lock wire.LockID, version uint6
 	if len(targets) == 0 {
 		return nil, nil
 	}
-	pb := n.xfer.preparePushBlob(lock, version, payloads)
+	var delta *wire.ReplicaDelta
 	if n.cfg.DeltaTransfer && version > 1 {
 		// Optimistically offer every target the single-step delta; a
 		// target that is further behind rejects it and gets the full copy.
 		st := n.getLockLocal(lock)
 		st.mu.Lock()
-		if msg := st.buildDeltaLocked(n.cfg.Site, version-1, version, payloads, 0, true); msg != nil {
-			pb.delta = wire.Marshal(msg)
-		}
+		delta = st.buildDeltaLocked(n.cfg.Site, version-1, version, payloads, 0, true)
 		st.mu.Unlock()
 	}
+	pb := n.xfer.preparePushBlob(lock, version, payloads, delta)
 	bound := n.cfg.fanoutBound(len(targets))
 
 	if bound == 1 {
@@ -841,12 +854,9 @@ func (t *transferService) disseminate(ctx context.Context, lock wire.LockID, ver
 			candidates = append(candidates, site)
 		}
 	}
-	pb := t.preparePushBlob(lock, version, payloads)
-	if delta != nil {
-		// Marshaled once, like the full blob, and offered to the targets
-		// the grant reported as holding the previous version.
-		pb.delta = wire.Marshal(delta)
-	}
+	// The delta is marshaled once, like the full blob, and offered to the
+	// targets the grant reported as holding the previous version.
+	pb := t.preparePushBlob(lock, version, payloads, delta)
 
 	// The relay tree replaces the flat fan-out only when every candidate
 	// is a target (want covers them all): a partial-UR dissemination keeps
@@ -855,7 +865,7 @@ func (t *transferService) disseminate(ctx context.Context, lock wire.LockID, ver
 	// relay hop costs more than it saves, and with the tree disabled this
 	// path is the paper-baseline ablation leg.
 	if t.node.cfg.DisseminationTree && want >= len(candidates) && len(candidates) >= t.node.cfg.TreeMinSharers {
-		return t.disseminateTree(ctx, pb, payloads, candidates, upToDate)
+		return t.disseminateTree(ctx, pb, candidates, upToDate)
 	}
 
 	var (
@@ -884,7 +894,7 @@ func (t *transferService) disseminate(ctx context.Context, lock wire.LockID, ver
 				mu.Unlock()
 
 				site := candidates[i]
-				if err := t.pushTo(ctx, site, pb, pb.delta != nil && upToDate.Contains(site)); err != nil {
+				if err := t.pushTo(ctx, site, pb, upToDate.Contains(site)); err != nil {
 					if t.node.log.On() {
 						t.node.log.Logf("fault", "dissemination of lock %d v%d to site %d failed: %v", lock, version, site, err)
 					}
@@ -921,7 +931,7 @@ func (t *transferService) disseminate(ctx context.Context, lock wire.LockID, ver
 // reachable sharer still receives the version — the tree changes who
 // carries the frames, never the guarantee. Returns acked sites in
 // candidate order, like the flat walk.
-func (t *transferService) disseminateTree(ctx context.Context, pb *pushBlob, payloads []wire.ReplicaPayload, candidates []wire.SiteID, upToDate wire.SiteSet) []wire.SiteID {
+func (t *transferService) disseminateTree(ctx context.Context, pb *pushBlob, candidates []wire.SiteID, upToDate wire.SiteSet) []wire.SiteID {
 	plan := t.tracker.Plan(candidates)
 
 	var (
@@ -936,7 +946,7 @@ func (t *transferService) disseminateTree(ctx context.Context, pb *pushBlob, pay
 		mu.Unlock()
 	}
 	pushDirect := func(site wire.SiteID) {
-		if err := t.pushTo(ctx, site, pb, pb.delta != nil && upToDate.Contains(site)); err != nil {
+		if err := t.pushTo(ctx, site, pb, upToDate.Contains(site)); err != nil {
 			if t.node.log.On() {
 				t.node.log.Logf("fault", "dissemination of lock %d v%d to site %d failed: %v", pb.lock, pb.version, site, err)
 			}
@@ -948,7 +958,7 @@ func (t *transferService) disseminateTree(ctx context.Context, pb *pushBlob, pay
 	tasks := make([]func(), 0, len(plan.Groups)+len(plan.Direct))
 	for _, g := range plan.Groups {
 		g := g
-		tasks = append(tasks, func() { t.pushViaRelay(ctx, pb, payloads, g, pushDirect, confirm) })
+		tasks = append(tasks, func() { t.pushViaRelay(ctx, pb, g, upToDate, pushDirect, confirm) })
 	}
 	for _, site := range plan.Direct {
 		site := site
@@ -984,99 +994,112 @@ func (t *transferService) disseminateTree(ctx context.Context, pb *pushBlob, pay
 }
 
 // pushViaRelay sends one bucket's RelayPush and waits for the aggregated
-// ack. The relay's ack latency and losses feed its quality score; a relay
-// that fails is routed around with direct pushes to the whole bucket, and
-// members the relay could not reach are direct-pushed individually —
+// ack. A relay the grant listed as up to date is offered the release's
+// push delta first, through the same delta-then-full ladder as a direct
+// push; a relay that cannot apply it answers need-full and gets the full
+// form once. The relay's ack latency and losses feed its quality score; a
+// relay that fails is routed around with direct pushes to the whole bucket,
+// and members the relay could not reach are direct-pushed individually —
 // either way a sick relay degrades its bucket to flat fan-out instead of
 // losing the version (a re-push of an already-applied version is dropped
 // as stale by the receiver, so the overlap is harmless).
-func (t *transferService) pushViaRelay(ctx context.Context, pb *pushBlob, payloads []wire.ReplicaPayload, g overlay.Group, pushDirect func(wire.SiteID), confirm func(...wire.SiteID)) {
+func (t *transferService) pushViaRelay(ctx context.Context, pb *pushBlob, g overlay.Group, upToDate wire.SiteSet, pushDirect func(wire.SiteID), confirm func(...wire.SiteID)) {
 	reg := t.node.obs()
-	fallback := func() {
+	bucket := append([]wire.SiteID{g.Relay}, g.Members...)
+	// repair direct-pushes sites concurrently under the fan-out bound: one
+	// backbone round trip for the lot, not one each.
+	repair := func(sites []wire.SiteID) {
 		reg.Inc(obs.CRelayFallbacks)
-		var wg sync.WaitGroup
-		for _, site := range append([]wire.SiteID{g.Relay}, g.Members...) {
-			wg.Add(1)
-			go func(site wire.SiteID) {
-				defer wg.Done()
-				pushDirect(site)
-			}(site)
-		}
-		wg.Wait()
+		t.forEachBounded(sites, pushDirect)
 	}
 	addr, err := t.node.xferAddr(g.Relay)
 	if err != nil {
-		fallback()
+		repair(bucket)
 		return
 	}
 	msg := &wire.RelayPush{
-		Lock:     pb.lock,
-		Origin:   t.node.cfg.Site,
-		Version:  pb.version,
-		Replicas: payloads,
-		Targets:  wire.NewSiteSet(g.Members...),
+		Lock:    pb.lock,
+		Origin:  t.node.cfg.Site,
+		Version: pb.version,
+		Targets: wire.NewSiteSet(g.Members...),
+	}
+	var deltaFrame []byte
+	if pb.deltaMsg != nil && upToDate.Contains(g.Relay) {
+		d := *msg
+		d.FromVersion, d.Delta = pb.deltaMsg.FromVersion, pb.deltaMsg.Replicas
+		for _, site := range bucket {
+			if upToDate.Contains(site) {
+				d.UpToDate.Add(site)
+			}
+		}
+		deltaFrame = wire.Marshal(&d)
+	}
+	fullFrame := func() []byte {
+		msg.Replicas = pb.payloads
+		return wire.Marshal(msg)
 	}
 	// Register before sending: on a zero-delay network the aggregated ack
 	// can arrive inside the Send call.
 	ackCh := t.expectRelayAck(pb.lock, pb.version, g.Relay)
 	defer t.dropRelayAck(pb.lock, pb.version, g.Relay)
 
-	// The wait is bounded by the control-message timeout, not the transfer
-	// timeout: a dead relay should cost one fast timeout before its bucket
-	// degrades, not stall the release for a bulk-transfer grace period.
-	sendCtx, cancel := context.WithTimeout(ctx, t.node.cfg.RequestTimeout)
-	defer cancel()
-	start := time.Now()
 	t.uplinkSends.Add(1)
 	reg.Inc(obs.CRelayPushes)
-	if err := t.port.Send(sendCtx, addr, wire.Marshal(msg)); err != nil {
+	var ack *wire.RelayAck
+	err = t.offerDeltaThenFull(deltaFrame, fullFrame, func(frame []byte) (bool, error) {
+		// The wait is bounded by the control-message timeout, not the
+		// transfer timeout: a dead relay should cost one fast timeout before
+		// its bucket degrades, not stall the release for a bulk-transfer
+		// grace period.
+		sendCtx, cancel := context.WithTimeout(ctx, t.node.cfg.RequestTimeout)
+		defer cancel()
+		start := time.Now()
+		if err := t.port.Send(sendCtx, addr, frame); err != nil {
+			return false, err
+		}
+		select {
+		case ack = <-ackCh:
+			lat := time.Since(start)
+			t.tracker.ObserveAck(g.Relay, lat)
+			reg.Inc(obs.CRelayAcks)
+			reg.Observe(obs.HRelayHop, lat)
+			return !ack.NeedFull, nil
+		case <-sendCtx.Done():
+			return false, fmt.Errorf("await relay ack from site %d: %w", g.Relay, sendCtx.Err())
+		}
+	})
+	if err != nil {
+		if t.node.log.On() {
+			t.node.log.Logf("fault", "relay push of lock %d v%d via site %d failed: %v", pb.lock, pb.version, g.Relay, err)
+		}
 		t.tracker.ObserveLoss(g.Relay)
-		fallback()
+		repair(bucket)
 		return
 	}
-	select {
-	case ack := <-ackCh:
-		lat := time.Since(start)
-		t.tracker.ObserveAck(g.Relay, lat)
-		reg.Inc(obs.CRelayAcks)
-		reg.Observe(obs.HRelayHop, lat)
-		inBucket := make(map[wire.SiteID]bool, len(g.Members)+1)
-		inBucket[g.Relay] = true
-		for _, m := range g.Members {
-			inBucket[m] = true
+	// Route around members the relay could not reach.
+	var missed []wire.SiteID
+	for _, site := range bucket {
+		if ack.Acked.Contains(site) {
+			confirm(site)
+		} else {
+			missed = append(missed, site)
 		}
-		for _, s := range ack.Acked.Sites() {
-			if inBucket[s] {
-				confirm(s)
-			}
-		}
-		// Route around members the relay could not reach.
-		var missed []wire.SiteID
-		if !ack.Acked.Contains(g.Relay) {
-			missed = append(missed, g.Relay)
-		}
-		for _, m := range g.Members {
-			if !ack.Acked.Contains(m) {
-				missed = append(missed, m)
-			}
-		}
-		if len(missed) > 0 {
-			reg.Inc(obs.CRelayFallbacks)
-			for _, site := range missed {
-				pushDirect(site)
-			}
-		}
-	case <-sendCtx.Done():
-		t.tracker.ObserveLoss(g.Relay)
-		fallback()
+	}
+	if len(missed) > 0 {
+		repair(missed)
 	}
 }
 
 // relayFan services a RelayPush on the bucket relay: apply the version
-// locally, re-fan it to the bucket's remaining members as ordinary
-// PushUpdates, and answer the origin with the aggregated set of sites that
-// confirmed application. Runs on its own goroutine — the re-fan takes
-// member round trips and must not stall the transfer port's dispatcher.
+// locally, re-fan it to the bucket's remaining members, and answer the
+// origin with the aggregated set of sites that confirmed application. A
+// full-form push re-fans ordinary PushUpdates; a delta-form push is patched
+// in through applyDelta and re-fanned down the same delta-then-full ladder
+// as a direct push, with the full copy served from this site's post-apply
+// payload cache. A delta this site cannot apply is answered need-full with
+// nothing applied or re-fanned. Runs on its own goroutine — the re-fan
+// takes member round trips and must not stall the transfer port's
+// dispatcher.
 func (t *transferService) relayFan(msg *wire.RelayPush, replyTo string) {
 	n := t.node
 	if n.fireFault(FaultContext{
@@ -1087,19 +1110,37 @@ func (t *transferService) relayFan(msg *wire.RelayPush, replyTo string) {
 		return
 	}
 	reg := n.obs()
-	n.applyPayloads(msg.Lock, msg.Version, msg.Replicas, "relay", msg.Origin)
+	ack := &wire.RelayAck{Lock: msg.Lock, Relay: n.cfg.Site, Version: msg.Version}
+	var delta *wire.ReplicaDelta
+	if len(msg.Delta) > 0 {
+		delta = &wire.ReplicaDelta{
+			Lock: msg.Lock, From: msg.Origin, Version: msg.Version,
+			FromVersion: msg.FromVersion, Push: true, Replicas: msg.Delta,
+		}
+		if err := n.applyDelta(delta); err != nil {
+			if n.log.On() {
+				n.log.Logf("xfer", "relay delta of lock %d v%d from site %d rejected: %v", msg.Lock, msg.Version, msg.Origin, err)
+			}
+			ack.NeedFull = true
+			t.sendRelayAck(ack, replyTo)
+			return
+		}
+	} else {
+		n.applyPayloads(msg.Lock, msg.Version, msg.Replicas, "relay", msg.Origin)
+	}
 
-	var (
-		ackMu sync.Mutex
-		acked wire.SiteSet
-	)
+	var ackMu sync.Mutex
+	payloads := msg.Replicas
 	st := n.getLockLocal(msg.Lock)
 	st.mu.Lock()
 	// Count this site only if the apply actually installed the version (or
 	// it was already held): an unmarshal failure must not be reported
 	// upstream as an up-to-date copy.
 	if st.version >= msg.Version {
-		acked.Add(n.cfg.Site)
+		ack.Acked.Add(n.cfg.Site)
+	}
+	if delta != nil && st.cachedPayloads != nil && st.cachedVersion == msg.Version {
+		payloads = st.cachedPayloads
 	}
 	st.mu.Unlock()
 
@@ -1118,37 +1159,47 @@ func (t *transferService) relayFan(msg *wire.RelayPush, replyTo string) {
 	}
 
 	if len(members) > 0 {
-		pb := t.preparePushBlob(msg.Lock, msg.Version, msg.Replicas)
-		bound := n.cfg.fanoutBound(len(members))
-		sem := make(chan struct{}, bound)
-		var wg sync.WaitGroup
-		for _, site := range members {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(site wire.SiteID) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := t.pushTo(context.Background(), site, pb, false); err != nil {
-					if n.log.On() {
-						n.log.Logf("fault", "relay re-fan of lock %d v%d to site %d failed: %v", msg.Lock, msg.Version, site, err)
-					}
-					return
+		pb := t.preparePushBlob(msg.Lock, msg.Version, payloads, delta)
+		t.forEachBounded(members, func(site wire.SiteID) {
+			if err := t.pushTo(context.Background(), site, pb, msg.UpToDate.Contains(site)); err != nil {
+				if n.log.On() {
+					n.log.Logf("fault", "relay re-fan of lock %d v%d to site %d failed: %v", msg.Lock, msg.Version, site, err)
 				}
-				reg.Inc(obs.CRelayFanout)
-				ackMu.Lock()
-				acked.Add(site)
-				ackMu.Unlock()
-			}(site)
-		}
-		wg.Wait()
+				return
+			}
+			reg.Inc(obs.CRelayFanout)
+			ackMu.Lock()
+			ack.Acked.Add(site)
+			ackMu.Unlock()
+		})
 	}
+	t.sendRelayAck(ack, replyTo)
+}
 
-	ack := &wire.RelayAck{Lock: msg.Lock, Relay: n.cfg.Site, Version: msg.Version, Acked: acked}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RequestTimeout)
+// forEachBounded runs fn for every site, launching in slice order with at
+// most the configured dissemination fan-out in flight, and waits for all.
+func (t *transferService) forEachBounded(sites []wire.SiteID, fn func(wire.SiteID)) {
+	sem := make(chan struct{}, t.node.cfg.fanoutBound(len(sites)))
+	var wg sync.WaitGroup
+	for _, site := range sites {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(site wire.SiteID) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			fn(site)
+		}(site)
+	}
+	wg.Wait()
+}
+
+// sendRelayAck answers a RelayPush's origin.
+func (t *transferService) sendRelayAck(ack *wire.RelayAck, replyTo string) {
+	ctx, cancel := context.WithTimeout(context.Background(), t.node.cfg.RequestTimeout)
 	defer cancel()
 	if err := t.port.Send(ctx, replyTo, wire.Marshal(ack)); err != nil {
-		if n.log.On() {
-			n.log.Logf("fault", "relay ack of lock %d v%d to %s failed: %v", msg.Lock, msg.Version, replyTo, err)
+		if t.node.log.On() {
+			t.node.log.Logf("fault", "relay ack of lock %d v%d to %s failed: %v", ack.Lock, ack.Version, replyTo, err)
 		}
 	}
 }
@@ -1200,28 +1251,58 @@ func (t *transferService) pushTo(ctx context.Context, site wire.SiteID, pb *push
 	sendCtx, cancel := context.WithTimeout(ctx, t.node.cfg.TransferTimeout)
 	defer cancel()
 
-	if tryDelta && pb.delta != nil {
-		applied, err := t.sendPushFrame(sendCtx, site, pb, pb.delta)
+	var delta []byte
+	if tryDelta {
+		delta = pb.delta
+	}
+	err := t.offerDeltaThenFull(delta, func() []byte { return pb.blob }, func(frame []byte) (bool, error) {
+		return t.sendPushFrame(sendCtx, site, pb, frame)
+	})
+	if err != nil {
+		return fmt.Errorf("push of lock %d v%d to site %d: %w", pb.lock, pb.version, site, err)
+	}
+	return nil
+}
+
+// Errors of the delta-then-full ladder's last rung.
+var (
+	errNoFullCopy  = errors.New("no full copy to send")
+	errFullRefused = errors.New("receiver refused the full copy")
+)
+
+// offerDeltaThenFull is the one delta-then-full ladder every replica push
+// climbs, to a sharer (pushTo) or to a bucket relay (pushViaRelay): offer
+// the delta frame when there is one; a receiver that cannot apply it
+// answers need-full, which counts as a delta fallback and is answered with
+// the full frame. send moves one frame and reports whether the receiver
+// applied it; full builds the full frame and is called only when it is
+// needed. Every frame a receiver applied is tallied as a replica send.
+func (t *transferService) offerDeltaThenFull(delta []byte, full func() []byte, send func(frame []byte) (applied bool, err error)) error {
+	if delta != nil {
+		applied, err := send(delta)
 		if err != nil {
 			// A transport-level failure would sink the full copy too.
 			return err
 		}
 		if applied {
-			t.countReplicaSend(len(pb.delta), true)
+			t.countReplicaSend(len(delta), true)
 			return nil
 		}
 		t.deltaFallbacks.Add(1)
 		t.node.obs().Inc(obs.CDeltaFallbacks)
 	}
-
-	applied, err := t.sendPushFrame(sendCtx, site, pb, pb.blob)
+	frame := full()
+	if frame == nil {
+		return errNoFullCopy
+	}
+	applied, err := send(frame)
 	if err != nil {
 		return err
 	}
 	if !applied {
-		return fmt.Errorf("site %d refused full push of lock %d v%d", site, pb.lock, pb.version)
+		return errFullRefused
 	}
-	t.countReplicaSend(len(pb.blob), false)
+	t.countReplicaSend(len(frame), false)
 	return nil
 }
 

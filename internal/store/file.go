@@ -580,7 +580,7 @@ func (fs *FileStore) AppendDelta(fromVersion uint64, rec Record, deltas []wire.D
 	e.rec.Version = rec.Version
 	e.rec.Dirty = rec.Dirty
 	e.rec.Fence = rec.Fence
-	e.rec.Replicas = patched
+	e.rec.Replicas = shareCallerBlobs(patched, rec.Replicas)
 	e.bytes = payloadBytes(patched)
 	e.chain = append(e.chain, frame)
 	fs.cached += e.bytes

@@ -554,3 +554,58 @@ func TestMemoryStoreBaseline(t *testing.T) {
 		t.Fatalf("get after close: %v", err)
 	}
 }
+
+// TestAppendDeltaSharesCallerBlobs pins the heap guard of the delta path:
+// a caller that hands AppendDelta the blobs it patched keeps the only copy
+// (the store adopts those slices once its own validation patch agrees, as
+// Put always did), a caller blob that disagrees with the validated result
+// is not adopted, and a restart replays the logged delta chain — never the
+// caller's slices — to identical bytes. Both backends share the rule.
+func TestAppendDeltaSharesCallerBlobs(t *testing.T) {
+	dir := t.TempDir()
+	fs := openT(t, dir, Options{})
+	backends := map[string]Store{"file": fs, "memory": NewMemory()}
+	versions := [][]byte{[]byte("version-one"), []byte("version-two"), []byte("version-3!!"), []byte("version-iv.")}
+	for name, s := range backends {
+		if err := s.Put(rec(4, 1, false, 1, pay("x", versions[0]), pay("y", []byte("untouched")))); err != nil {
+			t.Fatalf("%s put: %v", name, err)
+		}
+		for i := 1; i <= 2; i++ {
+			mine := append([]byte(nil), versions[i]...)
+			d := []wire.DeltaPayload{patchTo("x", versions[i])}
+			if err := s.AppendDelta(uint64(i), rec(4, uint64(i+1), false, 1, pay("x", mine)), d); err != nil {
+				t.Fatalf("%s delta to v%d: %v", name, i+1, err)
+			}
+			got, _, _ := s.Get(4)
+			wantPayload(t, got, "x", versions[i])
+			wantPayload(t, got, "y", []byte("untouched"))
+			if &got.Replicas[0].Data[0] != &mine[0] {
+				t.Fatalf("%s: record at v%d keeps a private copy of the caller's blob", name, i+1)
+			}
+		}
+		// A caller blob that is not what the delta produces stays out.
+		wrong := []byte("not-the-one")
+		d := []wire.DeltaPayload{patchTo("x", versions[3])}
+		if err := s.AppendDelta(3, rec(4, 4, false, 1, pay("x", wrong)), d); err != nil {
+			t.Fatalf("%s delta to v4: %v", name, err)
+		}
+		got, _, _ := s.Get(4)
+		wantPayload(t, got, "x", versions[3])
+		if &got.Replicas[0].Data[0] == &wrong[0] {
+			t.Fatalf("%s: adopted a caller blob that differs from the validated patch", name)
+		}
+	}
+	fs.Close()
+
+	fs2 := openT(t, dir, Options{})
+	defer fs2.Close()
+	recs, err := fs2.Recover()
+	if err != nil || len(recs) != 1 || recs[0].Version != 4 {
+		t.Fatalf("recover: %+v err=%v", recs, err)
+	}
+	wantPayload(t, recs[0], "x", versions[3])
+	wantPayload(t, recs[0], "y", []byte("untouched"))
+	if st := fs2.Stats(); st.SkippedRecords != 0 {
+		t.Fatalf("replay skipped %d records of an intact delta chain", st.SkippedRecords)
+	}
+}

@@ -63,7 +63,7 @@ func (m *Memory) AppendDelta(fromVersion uint64, rec Record, deltas []wire.Delta
 	if err != nil {
 		return err
 	}
-	rec.Replicas = patched
+	rec.Replicas = shareCallerBlobs(patched, rec.Replicas)
 	m.records[rec.Lock] = rec
 	m.stats.Appends++
 	return nil

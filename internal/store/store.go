@@ -19,6 +19,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -55,9 +56,12 @@ type Store interface {
 	// rec.Version, replacing any prior record.
 	Put(rec Record) error
 	// AppendDelta advances the lock from fromVersion to rec.Version by the
-	// given patch set (rec.Replicas is ignored; deltas carries the ops).
-	// If the store's current record is not at fromVersion it returns
-	// ErrBadDeltaBase and the caller falls back to Put.
+	// given patch set. deltas carries the ops and is what gets logged and
+	// validated; rec.Replicas, when the caller has the patched blobs at
+	// hand, lets the store keep the caller's slices instead of a private
+	// copy of the same bytes. If the store's current record is not at
+	// fromVersion it returns ErrBadDeltaBase and the caller falls back to
+	// Put.
 	AppendDelta(fromVersion uint64, rec Record, deltas []wire.DeltaPayload) error
 	// Commit marks version committed for the lock, clearing the dirty flag
 	// the matching Put/AppendDelta recorded.
@@ -186,6 +190,23 @@ func applyDeltaSet(base []wire.ReplicaPayload, deltas []wire.DeltaPayload) ([]wi
 		}
 	}
 	return out, nil
+}
+
+// shareCallerBlobs replaces each validated blob in patched with the
+// caller's slice of the same name when the bytes are identical, so the
+// daemon's payload cache and the store hold one blob per (site, lock), as
+// they do after a Put. The validated result stays authoritative: a caller
+// blob that differs from it is not adopted.
+func shareCallerBlobs(patched, caller []wire.ReplicaPayload) []wire.ReplicaPayload {
+	for i := range patched {
+		for _, c := range caller {
+			if c.Name == patched[i].Name && bytes.Equal(c.Data, patched[i].Data) {
+				patched[i].Data = c.Data
+				break
+			}
+		}
+	}
+	return patched
 }
 
 // payloadBytes sums a replica set's data bytes, the unit the memory cap

@@ -328,7 +328,11 @@ func encodePayloads(w *Writer, ps []ReplicaPayload) {
 }
 
 func decodePayloads(r *Reader) []ReplicaPayload {
-	n := int(r.U16())
+	return decodePayloadsN(r, int(r.U16()))
+}
+
+// decodePayloadsN reads n payloads whose count the caller already consumed.
+func decodePayloadsN(r *Reader, n int) []ReplicaPayload {
 	out := make([]ReplicaPayload, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, ReplicaPayload{Name: r.String16(), Data: r.Bytes32()})
@@ -481,6 +485,32 @@ func (p *DeltaPayload) encodedSize() int {
 	return n
 }
 
+// encodeDeltas, decodeDeltas and deltasSize are the counted DeltaPayload
+// list every delta-carrying frame (ReplicaDelta, RelayPush, WALRecord)
+// ends its patch set with.
+func encodeDeltas(w *Writer, ds []DeltaPayload) {
+	w.U16(uint16(len(ds)))
+	for i := range ds {
+		ds[i].encode(w)
+	}
+}
+
+func decodeDeltas(r *Reader) []DeltaPayload {
+	ds := make([]DeltaPayload, int(r.U16()))
+	for i := range ds {
+		ds[i].decode(r)
+	}
+	return ds
+}
+
+func deltasSize(ds []DeltaPayload) int {
+	n := 2
+	for i := range ds {
+		n += ds[i].encodedSize()
+	}
+	return n
+}
+
 // ReplicaDelta is the delta-capable counterpart of ReplicaData (Push=false,
 // answering a TransferReplica directive) and PushUpdate (Push=true, UR
 // dissemination at release). It upgrades the receiver's replicas from
@@ -510,10 +540,7 @@ func (m *ReplicaDelta) encode(w *Writer) {
 	w.U64(m.FromVersion)
 	w.U64(m.RequestID)
 	w.Bool(m.Push)
-	w.U16(uint16(len(m.Replicas)))
-	for i := range m.Replicas {
-		m.Replicas[i].encode(w)
-	}
+	encodeDeltas(w, m.Replicas)
 }
 
 func (m *ReplicaDelta) decode(r *Reader) error {
@@ -523,20 +550,12 @@ func (m *ReplicaDelta) decode(r *Reader) error {
 	m.FromVersion = r.U64()
 	m.RequestID = r.U64()
 	m.Push = r.Bool()
-	n := int(r.U16())
-	m.Replicas = make([]DeltaPayload, n)
-	for i := 0; i < n; i++ {
-		m.Replicas[i].decode(r)
-	}
+	m.Replicas = decodeDeltas(r)
 	return r.Err()
 }
 
 func (m *ReplicaDelta) encodedSize() int {
-	n := 4 + 4 + 8 + 8 + 8 + 1 + 2
-	for i := range m.Replicas {
-		n += m.Replicas[i].encodedSize()
-	}
-	return n
+	return 4 + 4 + 8 + 8 + 8 + 1 + deltasSize(m.Replicas)
 }
 
 // DeltaNack tells the sender of a ReplicaDelta that the receiver could not

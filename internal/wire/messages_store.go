@@ -53,10 +53,7 @@ func (m *WALRecord) encode(w *Writer) {
 	w.U64(m.Version)
 	w.Bool(m.Dirty)
 	w.U64(m.Fence)
-	w.U16(uint16(len(m.Replicas)))
-	for i := range m.Replicas {
-		m.Replicas[i].encode(w)
-	}
+	encodeDeltas(w, m.Replicas)
 }
 
 func (m *WALRecord) decode(r *Reader) error {
@@ -66,18 +63,10 @@ func (m *WALRecord) decode(r *Reader) error {
 	m.Version = r.U64()
 	m.Dirty = r.Bool()
 	m.Fence = r.U64()
-	n := int(r.U16())
-	m.Replicas = make([]DeltaPayload, n)
-	for i := 0; i < n; i++ {
-		m.Replicas[i].decode(r)
-	}
+	m.Replicas = decodeDeltas(r)
 	return r.Err()
 }
 
 func (m *WALRecord) encodedSize() int {
-	n := 1 + 4 + 8 + 8 + 1 + 8 + 2
-	for i := range m.Replicas {
-		n += m.Replicas[i].encodedSize()
-	}
-	return n
+	return 1 + 4 + 8 + 8 + 1 + 8 + deltasSize(m.Replicas)
 }

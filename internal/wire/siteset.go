@@ -118,7 +118,11 @@ func (s SiteSet) encodedSize() int {
 
 // decodeSiteSet reads a bit vector written by encode.
 func decodeSiteSet(r *Reader) SiteSet {
-	n := int(r.U16())
+	return decodeSiteSetN(r, int(r.U16()))
+}
+
+// decodeSiteSetN reads n words whose count the caller already consumed.
+func decodeSiteSetN(r *Reader, n int) SiteSet {
 	bits := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
 		bits = append(bits, r.U64())

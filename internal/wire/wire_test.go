@@ -53,6 +53,8 @@ func allMessages() []Payload {
 		&DeltaNack{Lock: 7, Site: 5, Version: 44, RequestID: 99, Push: false, Reason: "base version 41 unavailable"},
 		&RelayPush{Lock: 7, Origin: 1, Version: 44, Replicas: []ReplicaPayload{{Name: "a", Data: []byte("payload")}}, Targets: NewSiteSet(3, 4, 70)},
 		&RelayAck{Lock: 7, Relay: 3, Version: 44, Acked: NewSiteSet(3, 4)},
+		relayPushDeltaForm(),
+		&RelayAck{Lock: 7, Relay: 3, Version: 44, NeedFull: true},
 		&HomeHint{Lock: 7, Home: 4, Epoch: 6},
 		&HandoffRecord{From: 2, Epoch: 5, Record: LockRecord{
 			Lock: 7, Version: 44, HighWater: 46, LastOwner: 3,
@@ -77,6 +79,17 @@ func allMessages() []Payload {
 			{Name: "b", Full: true, Data: []byte("whole blob")},
 		}},
 	}
+}
+
+// relayPushDeltaForm is a RelayPush in its delta form: no full payloads,
+// the release's patch set plus its base version and the bucket members
+// that hold that base.
+func relayPushDeltaForm() *RelayPush {
+	return &RelayPush{Lock: 7, Origin: 1, Version: 44, Targets: NewSiteSet(3, 4, 70),
+		FromVersion: 43, UpToDate: NewSiteSet(3, 70), Delta: []DeltaPayload{
+			{Name: "a", NewLen: 9, Checksum: 0xDEADBEEF, Ops: []PatchOp{{Off: 5, Data: []byte{1, 2}}}},
+			{Name: "b", Full: true, Data: []byte("whole blob")},
+		}}
 }
 
 func TestEveryKindCovered(t *testing.T) {
@@ -155,6 +168,14 @@ func TestEncodedSizeHintExact(t *testing.T) {
 			{Name: "patched", NewLen: uint32(len(big)), Checksum: 9, Ops: []PatchOp{{Off: 100, Data: big[:4096]}}},
 			{Name: "full", Full: true, Data: big},
 		}},
+		&RelayPush{Lock: 1, Origin: 2, Version: 3, Replicas: []ReplicaPayload{{Name: "big", Data: big}}, Targets: NewSiteSet(3, 4, 200)},
+		&RelayPush{Lock: 1, Origin: 2, Version: 3, Targets: NewSiteSet(3, 4, 200), FromVersion: 2, UpToDate: NewSiteSet(3, 200),
+			Delta: []DeltaPayload{
+				{Name: "patched", NewLen: uint32(len(big)), Checksum: 9, Ops: []PatchOp{{Off: 100, Data: big[:4096]}}},
+				{Name: "full", Full: true, Data: big},
+			}},
+		&RelayAck{Lock: 1, Relay: 3, Version: 3, Acked: NewSiteSet(3, 4, 200)},
+		&RelayAck{Lock: 1, Relay: 3, Version: 3, NeedFull: true},
 	}
 	for _, p := range frames {
 		b := Marshal(p)
@@ -171,6 +192,50 @@ func TestEncodedSizeHintExact(t *testing.T) {
 	// Control messages fall back to the small default hint.
 	if got := EncodedSizeHint(&PushAck{}); got != 64 {
 		t.Errorf("control-message hint = %d, want 64", got)
+	}
+}
+
+// TestRelayFramesKeepParentEncoding pins the compatibility rule of the
+// delta-native relay frames: the delta form of RelayPush and the need-full
+// form of RelayAck are selected by a marker no real count reaches, so a
+// relay tree running without delta transfer puts exactly the bytes on the
+// wire it did before those forms existed.
+func TestRelayFramesKeepParentEncoding(t *testing.T) {
+	push := &RelayPush{Lock: 7, Origin: 1, Version: 44, Replicas: []ReplicaPayload{{Name: "a", Data: []byte("payload")}}, Targets: NewSiteSet(3, 4, 70)}
+	w := NewWriter(64)
+	w.U8(uint8(KindRelayPush))
+	w.U32(7)
+	w.U32(1)
+	w.U64(44)
+	encodePayloads(w, push.Replicas)
+	push.Targets.encode(w)
+	if got := Marshal(push); !reflect.DeepEqual(got, w.Bytes()) {
+		t.Fatalf("full-form RelayPush encoding changed:\n got %x\nwant %x", got, w.Bytes())
+	}
+	// FromVersion and UpToDate alone do not make a delta form.
+	push.FromVersion, push.UpToDate = 43, NewSiteSet(3)
+	if got := Marshal(push); !reflect.DeepEqual(got, w.Bytes()) {
+		t.Fatalf("RelayPush without a delta wrote delta-form fields: %x", got)
+	}
+
+	ack := &RelayAck{Lock: 7, Relay: 3, Version: 44, Acked: NewSiteSet(3, 4)}
+	w = NewWriter(64)
+	w.U8(uint8(KindRelayAck))
+	w.U32(7)
+	w.U32(3)
+	w.U64(44)
+	ack.Acked.encode(w)
+	if got := Marshal(ack); !reflect.DeepEqual(got, w.Bytes()) {
+		t.Fatalf("RelayAck encoding changed:\n got %x\nwant %x", got, w.Bytes())
+	}
+	// A need-full ack acks nobody: the set is not sent.
+	ack.NeedFull = true
+	got, err := Unmarshal(Marshal(ack))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back := got.(*RelayAck); !back.NeedFull || back.Acked.Len() != 0 {
+		t.Fatalf("need-full RelayAck round trip = %+v, want the flag and an empty set", back)
 	}
 }
 
