@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-delta bench-sync bench-obs bench-load bench-tree bench-home bench-store
+.PHONY: check fmt-check vet build test race fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-load bench-tree bench-home bench-store
 
 # check is the full CI gate: formatting, static analysis, build, the
 # complete test suite, the race detector over the concurrency-heavy
@@ -50,10 +50,12 @@ crash-smoke:
 # explore runs a time-budgeted coverage-guided fault-exploration session
 # (default 60s; override with EXPLORE_BUDGET). It honors MOCHA_TEST_SEED
 # for the workload base seed and prints the corpus signature plus replay
-# commands for anything the monitor catches.
+# commands for anything the monitor catches. -explore also un-quarantines
+# TestExploreReplayDeterminism's same-seed comparison, which a known
+# protocol race (DESIGN.md §4, ROADMAP item 1) keeps out of `make test`.
 EXPLORE_BUDGET ?= 60s
 explore:
-	$(GO) test ./internal/check -run 'TestExploreGuided$$' -count=1 -v -explore $(EXPLORE_BUDGET)
+	$(GO) test ./internal/check -run 'TestExploreGuided$$|TestExploreReplayDeterminism$$' -count=1 -v -explore $(EXPLORE_BUDGET)
 
 # cover enforces statement-coverage floors on the packages that implement
 # the protocol (core) and its encoding (wire). The floors are set a few
@@ -88,22 +90,9 @@ bench-compare:
 bench-fanout:
 	$(GO) run ./cmd/benchmocha -exp ablate-fanout -json
 
-bench-delta:
-	$(GO) run ./cmd/benchmocha -exp ablate-delta -json
-
-bench-sync:
-	$(GO) run ./cmd/benchmocha -exp ablate-syncstall -json
-
-# bench-obs measures the observability plane's cost: the same fan-out and
-# delta workloads run with metrics off and on, and the run fails if the
-# instrumented legs record nothing. Emits BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/benchmocha -exp ablate-obs -json
-
-# bench-load drives the open-loop harness at 100 sites / 10k locks over
-# both I/O paths (serial ablation, then batched + timer wheel) with the
-# history checker on, and fails if an instrumented leg records nothing.
-# The serial leg drains a large backlog, so expect ~10 minutes. Emits
+# bench-load drives the open-loop harness at 100 sites / 10k locks, once
+# plain and once with the online monitor in the event stream, with the
+# history checker on, and fails if a leg records nothing. Emits
 # BENCH_load.json.
 bench-load:
 	$(GO) run ./cmd/benchmocha -exp load -json

@@ -1,0 +1,68 @@
+package mocha_test
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+
+	"mocha/internal/bench"
+	"mocha/internal/core"
+	"mocha/internal/mnet"
+)
+
+// TestSurfaceCensus keeps the switch and artifact surface from regrowing
+// unnoticed: every checked-in BENCH_*.json must be the output of a
+// registered experiment (benchmocha -json strips the "ablate-" prefix),
+// every `-exp <id>` the Makefile runs must be registered, and the two
+// layer configs may not gain a field without this test being edited in the
+// same change — which is where the new field's second caller gets named.
+func TestSurfaceCensus(t *testing.T) {
+	registered := make(map[string]bool)
+	artifacts := make(map[string]bool)
+	for _, e := range bench.All() {
+		registered[e.ID] = true
+		artifacts["BENCH_"+strings.TrimPrefix(e.ID, "ablate-")+".json"] = true
+	}
+
+	found, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range found {
+		if !artifacts[name] {
+			t.Errorf("%s is written by no registered experiment; archive its numbers in EXPERIMENTS.md and delete it", name)
+		}
+	}
+
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := regexp.MustCompile(`-exp\s+(\S+)`).FindAllSubmatch(makefile, -1)
+	if len(targets) == 0 {
+		t.Error("Makefile runs no -exp target; the census pattern has rotted")
+	}
+	for _, m := range targets {
+		for _, id := range strings.Split(string(m[1]), ",") {
+			if !registered[id] {
+				t.Errorf("Makefile runs -exp %s, which is not a registered experiment", id)
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		typ  reflect.Type
+		max  int
+	}{
+		{"core.Config", reflect.TypeOf(core.Config{}), 28},
+		{"mnet.Config", reflect.TypeOf(mnet.Config{}), 8},
+	} {
+		if n := c.typ.NumField(); n > c.max {
+			t.Errorf("%s has %d fields, census allows %d: a new option needs two non-test callers that set it differently", c.name, n, c.max)
+		}
+	}
+}

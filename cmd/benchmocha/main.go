@@ -36,20 +36,6 @@ func run() int {
 		sites   = flag.Int("sites", 6, "maximum dissemination fan-out")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		jsonOut = flag.Bool("json", false, "also write each result to BENCH_<name>.json")
-
-		loadSites = flag.Int("load-sites", 0, "load experiment: cluster size (default 100)")
-		loadLocks = flag.Int("load-locks", 0, "load experiment: lock population (default 10000)")
-		loadRate  = flag.Float64("load-rate", 0, "load experiment: offered ops/s (default 3000)")
-		loadDur   = flag.Duration("load-duration", 0, "load experiment: arrival window (default 5s)")
-
-		treeSites   = flag.Int("tree-sites", 0, "tree experiment: cluster size (default 200)")
-		treeRegions = flag.Int("tree-regions", 0, "tree experiment: WAN regions (default 8)")
-
-		homeSites = flag.Int("home-sites", 0, "home experiment: cluster/ring size (default 6)")
-		homeLocks = flag.Int("home-locks", 0, "home experiment: lock population (default 8)")
-
-		storeSites = flag.Int("store-sites", 0, "store experiment: cluster size (default 3)")
-		storeLocks = flag.Int("store-locks", 0, "store experiment: lock population (default 6)")
 	)
 	flag.Parse()
 
@@ -82,13 +68,7 @@ func run() int {
 		return 2
 	}
 
-	cfg := bench.Config{
-		Scale: *scale, Trials: *trials, MaxSites: *sites,
-		LoadSites: *loadSites, LoadLocks: *loadLocks, LoadRate: *loadRate, LoadDuration: *loadDur,
-		TreeSites: *treeSites, TreeRegions: *treeRegions,
-		HomeSites: *homeSites, HomeLocks: *homeLocks,
-		StoreSites: *storeSites, StoreLocks: *storeLocks,
-	}
+	cfg := bench.Config{Scale: *scale, Trials: *trials, MaxSites: *sites}
 	fmt.Printf("mocha benchmark harness: scale=%.3f trials=%d max-sites=%d\n\n", *scale, *trials, *sites)
 	failed := 0
 	for _, e := range selected {
@@ -116,7 +96,7 @@ func run() int {
 
 // writeJSON records one result as BENCH_<name>.json in the working
 // directory, stripping the "ablate-" prefix so the fan-out ablation lands
-// in BENCH_fanout.json and the delta ablation in BENCH_delta.json.
+// in BENCH_fanout.json and the store ablation in BENCH_store.json.
 func writeJSON(res bench.Result) error {
 	name := strings.TrimPrefix(res.ID, "ablate-")
 	path := "BENCH_" + name + ".json"

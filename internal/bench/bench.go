@@ -20,7 +20,6 @@ import (
 	"mocha/internal/mnet"
 	"mocha/internal/netsim"
 	"mocha/internal/obs"
-	"mocha/internal/stats"
 	"mocha/internal/transport"
 	"mocha/internal/wire"
 )
@@ -135,10 +134,7 @@ func All() []Experiment {
 		{ID: "ablate-adaptive", Title: "Ablation: adaptive protocol selection", Run: AblateAdaptive},
 		{ID: "ablate-reuse", Title: "Ablation: hybrid protocol with connection reuse", Run: AblateReuse},
 		{ID: "ablate-fanout", Title: "Ablation: parallel dissemination fan-out", Run: AblateFanout},
-		{ID: "ablate-delta", Title: "Ablation: delta-encoded replica transfer", Run: AblateDelta},
-		{ID: "ablate-syncstall", Title: "Ablation: sharded non-blocking lock manager under a dead peer", Run: AblateSyncStall},
-		{ID: "ablate-obs", Title: "Ablation: observability-plane overhead on fan-out and delta paths", Run: AblateObs},
-		{ID: "load", Title: "Open-loop load at 100s of sites: serial vs batched I/O + timer wheel", Run: AblateLoad},
+		{ID: "load", Title: "Open-loop load at 100s of sites, with and without the online monitor", Run: AblateLoad},
 		{ID: "ablate-tree", Title: "Ablation: locality-aware dissemination relay tree", Run: AblateTree},
 		{ID: "ablate-home", Title: "Ablation: consistent-hash lock homes with standby failover", Run: AblateHome},
 		{ID: "ablate-store", Title: "Ablation: durable replica store — crash recovery vs in-memory", Run: AblateStore},
@@ -175,26 +171,12 @@ type harness struct {
 
 // harnessOpts tunes optional harness features.
 type harnessOpts struct {
-	// fastCodec swaps in the custom marshaling library ablation.
-	fastCodec bool
 	// streamReuse enables the hybrid connection-reuse extension.
 	streamReuse bool
 	// fanout selects the dissemination concurrency: 0 keeps the
 	// paper-faithful sequential fan-out every figure reproduces, -1 runs
 	// fully parallel, and a positive value bounds the concurrency.
 	fanout int
-	// delta enables delta-encoded replica transfer.
-	delta bool
-	// reqTimeout overrides the control-message timeout (model time; it is
-	// multiplied by cfg.Scale like every other modelled delay). 0 keeps
-	// the default 30s.
-	reqTimeout time.Duration
-	// syncSerial reproduces the pre-S30 blocking synchronization thread
-	// for the syncstall ablation baseline.
-	syncSerial bool
-	// metrics attaches an observability registry to every site (the
-	// ablate-obs instrumented leg); nil leaves the plane disabled.
-	metrics *obs.Registry
 }
 
 // disseminationFanout translates the harness convention to the core
@@ -218,23 +200,8 @@ func newHarness(cfg Config, e env, mode core.TransferMode, n int) (*harness, err
 
 // newHarnessOpts is newHarness with feature switches.
 func newHarnessOpts(cfg Config, e env, mode core.TransferMode, n int, ho harnessOpts) (*harness, error) {
-	cost := netsim.JDK1()
-	var codec marshal.Codec
-	if !ho.fastCodec {
-		codec = marshal.NewJavaStyle(cost.Scaled(cfg.Scale))
-	} else {
-		cost = cost.FastMarshal()
-		codec = marshal.NewFast(netsim.Native())
-	}
-	scaledCost := cost.Scaled(cfg.Scale)
-
-	reqTimeout := 30 * time.Second
-	if ho.reqTimeout > 0 {
-		reqTimeout = time.Duration(float64(ho.reqTimeout) * cfg.Scale)
-		if reqTimeout < 100*time.Millisecond {
-			reqTimeout = 100 * time.Millisecond
-		}
-	}
+	scaledCost := netsim.JDK1().Scaled(cfg.Scale)
+	codec := marshal.NewJavaStyle(scaledCost)
 
 	sim := transport.NewSimNetwork(netsim.Config{Profile: e.profile.Scaled(cfg.Scale), Seed: 99})
 	h := &harness{cfg: cfg, sim: sim, nodes: make(map[wire.SiteID]*core.Node), cost: scaledCost, codec: codec}
@@ -254,8 +221,7 @@ func newHarnessOpts(cfg Config, e env, mode core.TransferMode, n int, ho harness
 	for i := 1; i <= n; i++ {
 		site := wire.SiteID(i)
 		ep := mnet.NewEndpoint(stacks[site].Datagram(), mnet.Config{
-			Cost:    scaledCost,
-			Metrics: ho.metrics,
+			Cost: scaledCost,
 			// Generous retransmission timing: the harness runs lossless
 			// links, and large scaled costs must never trigger spurious
 			// retransmits.
@@ -273,13 +239,10 @@ func newHarnessOpts(cfg Config, e env, mode core.TransferMode, n int, ho harness
 			Cost:                scaledCost,
 			Mode:                mode,
 			StreamReuse:         ho.streamReuse,
-			DeltaTransfer:       ho.delta,
 			DisseminationFanout: ho.disseminationFanout(),
-			SyncSerialIO:        ho.syncSerial,
-			RequestTimeout:      reqTimeout,
+			RequestTimeout:      30 * time.Second,
 			TransferTimeout:     120 * time.Second,
 			Log:                 eventlog.Nop(),
-			Metrics:             ho.metrics,
 		})
 		if err != nil {
 			_ = h.Close()
@@ -288,12 +251,6 @@ func newHarnessOpts(cfg Config, e env, mode core.TransferMode, n int, ho harness
 		h.nodes[site] = node
 	}
 	return h, nil
-}
-
-// kill fail-stops a site: its node closes and the network silences it.
-func (h *harness) kill(site wire.SiteID) {
-	_ = h.nodes[site].Close()
-	h.sim.Kill(netsim.NodeID(site))
 }
 
 // Close tears the harness down.
@@ -355,13 +312,13 @@ func (h *harness) settleDelay() time.Duration {
 
 // measure runs f cfg.Trials times after one warmup, returning the sample
 // of de-scaled durations.
-func (h *harness) measure(warmup bool, f func() error) (*stats.Sample, error) {
+func (h *harness) measure(warmup bool, f func() error) (*obs.Sample, error) {
 	if warmup {
 		if err := f(); err != nil {
 			return nil, err
 		}
 	}
-	s := &stats.Sample{}
+	s := &obs.Sample{}
 	for i := 0; i < h.cfg.Trials; i++ {
 		start := time.Now()
 		if err := f(); err != nil {

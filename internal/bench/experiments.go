@@ -7,6 +7,7 @@ import (
 	"mocha/internal/core"
 	"mocha/internal/marshal"
 	"mocha/internal/netsim"
+	"mocha/internal/obs"
 	"mocha/internal/stats"
 	"mocha/internal/wire"
 )
@@ -41,7 +42,7 @@ func Table1(cfg Config) (Result, error) {
 }
 
 // lockLatency measures a VERSIONOK lock acquisition from site 2.
-func lockLatency(h *harness) (*stats.Sample, error) {
+func lockLatency(h *harness) (*obs.Sample, error) {
 	ctx, cancel := benchCtx()
 	defer cancel()
 	if _, err := h.setupSharedReplica(ctx, 1, "locked", 16); err != nil {
@@ -60,7 +61,7 @@ func lockLatency(h *harness) (*stats.Sample, error) {
 	}
 	// Table 1 reports lock acquisition alone; the release between trials
 	// stays outside the timed region.
-	s := &stats.Sample{}
+	s := &obs.Sample{}
 	for i := 0; i < h.cfg.Trials+1; i++ {
 		start := time.Now()
 		if err := rl.Lock(ctx); err != nil {
@@ -203,7 +204,7 @@ func figure(num int) func(Config) (Result, error) {
 // sampleView pairs a sample with its convenience accessor for table
 // building.
 type sampleView struct {
-	s *stats.Sample
+	s *obs.Sample
 }
 
 func (v *sampleView) mean() time.Duration { return v.s.Mean() }
@@ -240,7 +241,7 @@ func disseminationSeriesOpts(cfg Config, spec figSpec, mode core.TransferMode, h
 		for i := 0; i < k; i++ {
 			targets = append(targets, wire.SiteID(i+2))
 		}
-		s := &stats.Sample{}
+		s := &obs.Sample{}
 		for i := 0; i < h.cfg.Trials+1; i++ {
 			version, payloads, err := home.PreparePush(lock)
 			if err != nil {

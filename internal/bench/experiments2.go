@@ -9,6 +9,7 @@ import (
 	"mocha/internal/marshal"
 	"mocha/internal/mnet"
 	"mocha/internal/netsim"
+	"mocha/internal/obs"
 	"mocha/internal/stats"
 	"mocha/internal/transport"
 )
@@ -94,7 +95,7 @@ func AppBreakdown(cfg Config) (Result, error) {
 	if err := remoteLock.Unlock(ctx); err != nil {
 		return Result{}, err
 	}
-	lockSample := &stats.Sample{}
+	lockSample := &obs.Sample{}
 	for i := 0; i < cfg.Trials+1; i++ {
 		start := time.Now()
 		if err := remoteLock.Lock(ctx); err != nil {
@@ -112,7 +113,7 @@ func AppBreakdown(cfg Config) (Result, error) {
 	// Lock acquisition with a pending transfer: home updates, remote
 	// acquires. The transfer component is the difference from the
 	// VERSIONOK acquisition.
-	xferTotal := &stats.Sample{}
+	xferTotal := &obs.Sample{}
 	for i := 0; i < cfg.Trials+1; i++ {
 		if err := homeLock.Lock(ctx); err != nil {
 			return Result{}, err

@@ -67,6 +67,24 @@ const (
 	storeGapTimeout = 250 * time.Millisecond
 )
 
+// creatorSettle separates the creators' registrations from the workers'
+// first acquires. Associate returns on the transport ack, before the
+// synchronization thread has processed the registration, and a worker that
+// registers and acquires first is granted version 0 of a lock that has no
+// content yet.
+const creatorSettle = 200 * time.Millisecond
+
+// stampFirstByte writes b into the first byte of the held lock's payload.
+func stampFirstByte(rl *core.ReplicaLock, b byte) error {
+	data := rl.Replicas()[0].Content().BytesData()
+	if len(data) == 0 {
+		return fmt.Errorf("lock %d granted at v%d with empty content: the acquire outran the creator's registration",
+			rl.ID(), rl.Version())
+	}
+	data[0] = b
+	return nil
+}
+
 // storeLegResult is one restart leg's measurement.
 type storeLegResult struct {
 	locks      int
@@ -255,10 +273,10 @@ func storeLeg(cfg Config, sp storeParams, durable bool) (storeLegResult, error) 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
-	// Per lock: the creator at home registers the initial content, a worker
-	// at the victim attaches, acquires, writes, and releases — so the victim
-	// ends the warm-up owning every lock's latest version (and, on the
-	// durable leg, every version sits in its WAL).
+	// Per lock: the creator at home registers the initial content, then a
+	// worker at the victim attaches, acquires, writes, and releases — so the
+	// victim ends the warm-up owning every lock's latest version (and, on
+	// the durable leg, every version sits in its WAL).
 	lockIDs := make([]wire.LockID, sp.locks)
 	names := make([]string, sp.locks)
 	for i := range lockIDs {
@@ -272,6 +290,9 @@ func storeLeg(cfg Config, sp storeParams, durable bool) (storeLegResult, error) 
 		if err := creator.Associate(ctx, r); err != nil {
 			return res, err
 		}
+	}
+	time.Sleep(creatorSettle)
+	for i := range lockIDs {
 		wr, err := nodes[storeVictim].AttachReplica(names[i], marshal.Bytes(nil))
 		if err != nil {
 			return res, err
@@ -287,7 +308,9 @@ func storeLeg(cfg Config, sp storeParams, durable bool) (storeLegResult, error) 
 		if err := worker.Lock(ctx); err != nil {
 			return res, fmt.Errorf("worker acquire lock %d: %w", lockIDs[i], err)
 		}
-		worker.Replicas()[0].Content().BytesData()[0] = byte(i + 1)
+		if err := stampFirstByte(worker, byte(i+1)); err != nil {
+			return res, err
+		}
 		if err := worker.Unlock(ctx); err != nil {
 			return res, fmt.Errorf("worker release lock %d: %w", lockIDs[i], err)
 		}
@@ -385,13 +408,21 @@ func storeLeg(cfg Config, sp storeParams, durable bool) (storeLegResult, error) 
 		}
 	}
 
-	res.transfers = reg.CounterValue(obs.CTransfersFull) + reg.CounterValue(obs.CTransfersDelta) - transfersBefore
-
-	// Quiesce and analyze the history.
+	// Quiesce and analyze the history. A sender tallies a transfer only
+	// once its ack is back, which can trail the probe the data satisfied:
+	// give the tallies a moment to land, and read them with the nodes closed.
+	transfers := func() int64 {
+		return reg.CounterValue(obs.CTransfersFull) + reg.CounterValue(obs.CTransfersDelta) - transfersBefore
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for !durable && transfers() < int64(sp.locks) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
 	for _, n := range nodes {
 		_ = n.Close()
 	}
 	nodes = map[wire.SiteID]*core.Node{}
+	res.transfers = transfers()
 	if d := rec.Dropped(); d > 0 {
 		return res, fmt.Errorf("history recorder overflowed by %d events; raise its capacity", d)
 	}
@@ -511,10 +542,11 @@ func storeMemCapLeg(cfg Config, sp storeParams) (memCapResult, error) {
 	defer cancel()
 
 	lockIDs := make([]wire.LockID, sp.locks)
+	names := make([]string, sp.locks)
 	for i := range lockIDs {
 		lockIDs[i] = wire.LockID(301 + i)
-		name := fmt.Sprintf("memcap-data-%d", i)
-		r, err := nodes[wire.HomeSite].CreateReplica(name, marshal.Bytes(make([]byte, sp.payload)), 2)
+		names[i] = fmt.Sprintf("memcap-data-%d", i)
+		r, err := nodes[wire.HomeSite].CreateReplica(names[i], marshal.Bytes(make([]byte, sp.payload)), 2)
 		if err != nil {
 			return res, err
 		}
@@ -522,7 +554,10 @@ func storeMemCapLeg(cfg Config, sp storeParams) (memCapResult, error) {
 		if err := creator.Associate(ctx, r); err != nil {
 			return res, err
 		}
-		wr, err := nodes[storeVictim].AttachReplica(name, marshal.Bytes(nil))
+	}
+	time.Sleep(creatorSettle)
+	for i := range lockIDs {
+		wr, err := nodes[storeVictim].AttachReplica(names[i], marshal.Bytes(nil))
 		if err != nil {
 			return res, err
 		}
@@ -533,7 +568,9 @@ func storeMemCapLeg(cfg Config, sp storeParams) (memCapResult, error) {
 		if err := worker.Lock(ctx); err != nil {
 			return res, fmt.Errorf("acquire lock %d under memory cap: %w", lockIDs[i], err)
 		}
-		worker.Replicas()[0].Content().BytesData()[0] = byte(i + 1)
+		if err := stampFirstByte(worker, byte(i+1)); err != nil {
+			return res, err
+		}
 		if err := worker.Unlock(ctx); err != nil {
 			return res, fmt.Errorf("release lock %d under memory cap: %w", lockIDs[i], err)
 		}

@@ -64,9 +64,9 @@ func (c Config) treeParams() treeParams {
 
 // treeLegResult is one leg's measurement.
 type treeLegResult struct {
-	release      *stats.Sample // release-to-last-apply (Unlock wall time)
-	uplinkPushes int64         // dissemination frames out of the releaser, measured window
-	probeSamples int           // RTT samples absorbed by the overlay (tree leg)
+	release      *obs.Sample // release-to-last-apply (Unlock wall time)
+	uplinkPushes int64       // dissemination frames out of the releaser, measured window
+	probeSamples int         // RTT samples absorbed by the overlay (tree leg)
 	relayPushes  int64
 	relayAcks    int64
 	relayFanout  int64
@@ -349,7 +349,7 @@ func treeLeg(cfg Config, tp treeParams, tree bool) (treeLegResult, error) {
 	// sharers and warms every path), then the measured cycles.
 	rl.SetUpdateReplicas(tp.sites)
 	data := rl.Replicas()[0].Content()
-	res.release = &stats.Sample{}
+	res.release = &obs.Sample{}
 	for i := 0; i <= tp.releases; i++ {
 		if err := rl.Lock(ctx); err != nil {
 			return res, fmt.Errorf("release %d lock: %w", i, err)

@@ -44,8 +44,6 @@ type clusterOpts struct {
 	// syncShards overrides the synchronization thread's shard count
 	// (0 = default).
 	syncShards int
-	// syncSerial reproduces the pre-S30 blocking synchronization thread.
-	syncSerial bool
 	// faultHooks installs a per-site FaultHook (missing sites get none).
 	faultHooks map[wire.SiteID]FaultHook
 	// tree enables locality-aware dissemination; treeMin overrides the
@@ -122,7 +120,6 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 			DisseminationTree:   opts.tree,
 			TreeMinSharers:      opts.treeMin,
 			SyncShards:          opts.syncShards,
-			SyncSerialIO:        opts.syncSerial,
 			Metrics:             opts.metrics,
 			FaultHook:           opts.faultHooks[site],
 			RequestTimeout:      opts.reqTO,

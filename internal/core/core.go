@@ -63,10 +63,13 @@ const (
 	// ModeHybrid propagates a stream address over MNet and sends replica
 	// data over the TCP-style stream (second prototype).
 	ModeHybrid
-	// ModeAdaptive uses MNet below AdaptiveThreshold bytes and the hybrid
+	// ModeAdaptive uses MNet up to adaptiveThreshold bytes and the hybrid
 	// path above it.
 	ModeAdaptive
 )
+
+// adaptiveThreshold is the ModeAdaptive cutover size in bytes.
+const adaptiveThreshold = 2048
 
 // String names the mode as the paper does.
 func (m TransferMode) String() string {
@@ -114,9 +117,6 @@ type Config struct {
 	Cost netsim.CostModel
 	// Mode selects the replica transfer protocol.
 	Mode TransferMode
-	// AdaptiveThreshold is the ModeAdaptive cutover size in bytes
-	// (default 2048).
-	AdaptiveThreshold int
 	// StreamReuse caches hybrid-protocol connections per destination
 	// instead of setting up and tearing down per transfer — the obvious
 	// extension to the paper's second prototype, whose per-transfer
@@ -158,12 +158,6 @@ type Config struct {
 	// shard, and network I/O (grants, transfer directives, polls,
 	// heartbeats) never runs under any shard or lock mutex.
 	SyncShards int
-	// SyncSerialIO reproduces the pre-S30 synchronization thread for
-	// ablation: a single shard, with every grant delivery, transfer
-	// directive, and daemon poll performed inline in the port dispatcher's
-	// critical path, so one dead peer stalls lock traffic for every lock.
-	// Off by default.
-	SyncSerialIO bool
 	// RequestTimeout bounds control-message sends (default 5s).
 	RequestTimeout time.Duration
 	// TransferTimeout bounds replica data transfers (default 60s).
@@ -216,9 +210,6 @@ func (c Config) withDefaults() Config {
 	if c.Mode == 0 {
 		c.Mode = ModeMNet
 	}
-	if c.AdaptiveThreshold <= 0 {
-		c.AdaptiveThreshold = 2048
-	}
 	if c.DeltaLogDepth <= 0 {
 		c.DeltaLogDepth = 8
 	}
@@ -227,9 +218,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SyncShards <= 0 {
 		c.SyncShards = 32
-	}
-	if c.SyncSerialIO {
-		c.SyncShards = 1
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second

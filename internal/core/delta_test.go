@@ -5,16 +5,20 @@ import (
 	"time"
 
 	"mocha/internal/marshal"
+	"mocha/internal/obs"
 	"mocha/internal/wire"
 )
 
 // TestDeltaTransferEndToEnd ping-pongs an exclusive lock between two sites
 // with small writes into a large replica: after the first full transfer
 // seeds both sides, every acquisition-driven transfer must go out in delta
-// encoding, and the delta bytes must be far below the full-copy bytes.
+// encoding, and the delta bytes must be far below the full-copy bytes. A
+// final full rewrite must fall back to exactly one full copy, and the
+// observability plane must have counted every push, byte and delta.
 func TestDeltaTransferEndToEnd(t *testing.T) {
 	opts := defaultOpts()
 	opts.delta = true
+	opts.metrics = obs.NewRegistry()
 	tc := newTestCluster(t, 2, opts)
 	ctx := tctx(t)
 
@@ -83,6 +87,58 @@ func TestDeltaTransferEndToEnd(t *testing.T) {
 	fullSize := int64(len(data)*4 + 5)
 	if bytes > 2*fullSize {
 		t.Fatalf("total replica bytes %d; deltas should keep this near one full copy (%d)", bytes, fullSize)
+	}
+
+	// Full rewrite under UR=2: the delta would be no smaller than the
+	// copy, so the release must push the full copy once — not a delta,
+	// and not both.
+	rl, r := locks[turn], reps[turn]
+	rl.SetUpdateReplicas(2)
+	if err := rl.Lock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The acquisition pulled round 6's write; its sender tallies the
+	// transfer only once the ack is back, so let that land first.
+	settle()
+	deltas = tc.node(1).DeltaTransfersSent() + tc.node(2).DeltaTransfersSent()
+	bytes = tc.node(1).ReplicaBytesSent() + tc.node(2).ReplicaBytesSent()
+	ints := r.Content().IntsData()
+	for i := range ints {
+		ints[i] = 0x11111111 + int32(i) // every byte differs from the old content
+	}
+	if err := rl.Unlock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rewrite := tc.node(1).ReplicaBytesSent() + tc.node(2).ReplicaBytesSent() - bytes
+	if rewrite < fullSize || rewrite > fullSize+fullSize/10 {
+		t.Fatalf("full rewrite moved %d replica bytes, want one full copy (%d, at most 1.1x)", rewrite, fullSize)
+	}
+	if got := tc.node(1).DeltaTransfersSent() + tc.node(2).DeltaTransfersSent(); got != deltas {
+		t.Fatalf("full rewrite shipped as a delta (%d delta sends, was %d)", got, deltas)
+	}
+
+	// The registry is fed where the per-node tallies are; an instrumented
+	// run that disagrees with them has lost an instrument.
+	reg := opts.metrics
+	if got := reg.CounterValue(obs.CTransfersDelta); got != deltas {
+		t.Errorf("plane counted %d delta transfers, nodes sent %d", got, deltas)
+	}
+	if got := reg.CounterValue(obs.CTransferBytes); got != bytes+rewrite {
+		t.Errorf("plane counted %d transfer bytes, nodes sent %d", got, bytes+rewrite)
+	}
+	if reg.CounterValue(obs.CPushes) == 0 {
+		t.Error("plane counted no release push on a UR=2 lock")
+	}
+
+	peer := 3 - turn
+	if err := locks[peer].Lock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reps[peer].Content().IntsData()[len(data)-1], 0x11111111+int32(len(data)-1); got != want {
+		t.Fatalf("rewritten tail at site %d = %#x, want %#x", peer, got, want)
+	}
+	if err := locks[peer].Unlock(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -337,17 +393,14 @@ const headerBytes = 5
 
 // TestAdaptiveThresholdBoundary pins useStream's size policy: at exactly
 // the threshold the mnet path must win (the stream only pays off above
-// it), and an unset threshold must default to 2048.
+// it).
 func TestAdaptiveThresholdBoundary(t *testing.T) {
 	opts := defaultOpts()
 	opts.mode = ModeAdaptive
 	tc := newTestCluster(t, 2, opts)
 
 	x := tc.node(1).xfer
-	const def = 2048 // withDefaults fills AdaptiveThreshold for the unset config
-	if tc.node(1).cfg.AdaptiveThreshold != def {
-		t.Fatalf("unset threshold defaulted to %d, want %d", tc.node(1).cfg.AdaptiveThreshold, def)
-	}
+	const def = adaptiveThreshold
 	cases := []struct {
 		size int
 		want bool

@@ -189,10 +189,10 @@ func (hs *homeState) redirectTo(msg *wire.AcquireLock, route *homeRoute) {
 		Reason: "lock is homed elsewhere", Home: route.to, HomeEpoch: route.epoch,
 	}
 	site := msg.Requester
-	s.spawn(func() { s.sendToClient(site, nack) })
+	go s.sendToClient(site, nack)
 	if data := route.getRec(); data != nil {
 		to := route.to
-		s.spawn(func() { hs.sendToManager(to, data) })
+		go hs.sendToManager(to, data)
 	}
 }
 
@@ -247,14 +247,14 @@ func (hs *homeState) forwardReleaseIfMoved(l *syncLock, msg *wire.ReleaseLock) b
 	rec := route.getRec()
 	data := wire.Marshal(msg)
 	to := route.to
-	hs.s.spawn(func() {
+	go func() {
 		// Ship the insurance record first so the release finds an
 		// installed record at the new home.
 		if rec != nil {
 			hs.sendToManager(to, rec)
 		}
 		hs.sendToManager(to, data)
-	})
+	}()
 	return true
 }
 
@@ -295,7 +295,7 @@ func (hs *homeState) forwardRegister(msg *wire.RegisterReplica, to wire.SiteID, 
 	n := hs.s.node
 	data := wire.Marshal(msg)
 	origin := msg.Site
-	hs.s.spawn(func() {
+	go func() {
 		hs.sendToManager(to, data)
 		if epoch == 0 {
 			return // ring default; nothing worth hinting
@@ -306,7 +306,7 @@ func (hs *homeState) forwardRegister(msg *wire.RegisterReplica, to wire.SiteID, 
 			defer cancel()
 			_ = hs.s.aux.Send(ctx, addr, hint)
 		}
-	})
+	}()
 }
 
 // sendToManager delivers one frame to another manager's sync port.
@@ -536,7 +536,7 @@ func (s *syncThread) onHandoff(msg *wire.HandoffRecord) {
 	ok := hs != nil && hs.install(msg)
 	ack := wire.Marshal(&wire.HandoffAck{Lock: lock, To: s.node.cfg.Site, Epoch: msg.Epoch, OK: ok})
 	from := msg.From
-	s.spawn(func() {
+	go func() {
 		if hs != nil {
 			hs.sendToManager(from, ack)
 			return
@@ -546,7 +546,7 @@ func (s *syncThread) onHandoff(msg *wire.HandoffRecord) {
 			defer cancel()
 			_ = s.aux.Send(ctx, addr, ack)
 		}
-	})
+	}()
 }
 
 func (hs *homeState) install(msg *wire.HandoffRecord) bool {
@@ -575,7 +575,7 @@ func (hs *homeState) install(msg *wire.HandoffRecord) bool {
 	if becameHome {
 		n.obs().HomeLockAdd(uint32(hs.self), 1)
 	}
-	s.spawn(standby)
+	go standby()
 	if n.log.On() {
 		n.log.Logf("sync", "installed lock %d from site %d (epoch %d)", l.id, msg.From, newEpoch)
 	}
@@ -636,11 +636,11 @@ func (hs *homeState) streamDelete(lock wire.LockID) {
 		return
 	}
 	data := wire.Marshal(&wire.StandbyUpdate{From: hs.self, Delete: true, Record: wire.LockRecord{Lock: lock}})
-	hs.s.spawn(func() {
+	go func() {
 		if hs.sendToManager(hs.succ, data) {
 			hs.s.node.obs().Inc(obs.CStandbyUpdates)
 		}
-	})
+	}()
 }
 
 // onStandbyUpdate applies one predecessor record delta to the shadow
@@ -770,16 +770,16 @@ func (hs *homeState) promoteFrom(pred wire.SiteID) {
 			continue
 		}
 		site := site
-		s.spawn(func() {
+		go func() {
 			if addr, err := n.daemonAddr(site); err == nil {
 				ctx, cancel := timeoutCtx(n.cfg.RequestTimeout)
 				defer cancel()
 				_ = s.aux.Send(ctx, addr, moved)
 			}
-		})
+		}()
 	}
 	for _, f := range standbys {
-		s.spawn(f)
+		go f()
 	}
 }
 

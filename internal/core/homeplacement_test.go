@@ -78,6 +78,9 @@ func TestStandbyPromotionPreservesLockState(t *testing.T) {
 	wantVersion, wantFloor := l.version, l.highWater
 	l.mu.Unlock()
 	sHome.home.streamHoldSync(l)
+	// The stream returns on the transport ack; let the standby's
+	// dispatcher apply the update before its source disappears.
+	settle()
 
 	tc.kill(home)
 	tc.node(succ).PromoteStandby(home)

@@ -74,6 +74,9 @@ func TestLocksWhoseStandbyDiedStayUnreplicated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Unlock returns on the transport ack; let both homes process the
+	// releases so the versions read below are the committed ones.
+	settle()
 	recP := tc.node(home).Sync().lookupLock(lockP)
 	if recP == nil {
 		t.Fatal("no record at lockP's home")

@@ -202,39 +202,6 @@ func TestBannedTablePermanent(t *testing.T) {
 	}
 }
 
-// TestSerialIOModeFunctional verifies the SyncSerialIO ablation baseline
-// still implements the protocol correctly (it only re-serializes I/O).
-func TestSerialIOModeFunctional(t *testing.T) {
-	opts := defaultOpts()
-	opts.syncSerial = true
-	tc := newTestCluster(t, 2, opts)
-	ctx := tctx(t)
-
-	h1 := tc.node(1).NewHandle("creator")
-	rl1, r1 := mustCreate(t, h1, 12, "serial", []int32{5}, 2)
-	h2 := tc.node(2).NewHandle("peer")
-	rl2, r2 := mustAttach(t, h2, 12, "serial")
-	settle()
-
-	if err := rl1.Lock(ctx); err != nil {
-		t.Fatal(err)
-	}
-	r1.Content().IntsData()[0] = 6
-	if err := rl1.Unlock(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := rl2.Lock(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := r2.Content().IntsData()[0]; got != 6 {
-		t.Fatalf("serial-mode transfer: got %d, want 6", got)
-	}
-	if err := rl2.Unlock(ctx); err != nil {
-		t.Fatal(err)
-	}
-	assertSyncInvariants(t, tc)
-}
-
 // TestStressShardedSync hammers several locks across shards from three
 // sites while a fourth site dies holding a lock, mixing acquire/release
 // traffic with a concurrent lease-break; run under -race by `make race`.

@@ -47,11 +47,10 @@ func banReason(r banRecord) string {
 // dispatcher never blocks on a peer and a dead grantee on one lock cannot
 // delay traffic on any other lock (S30).
 type syncThread struct {
-	node   *Node
-	port   *mnet.Port // main handler: ACQUIRELOCK / RELEASELOCK / REGISTERREPLICA
-	aux    *mnet.Port // outbound probes: transfer directives, polls, heartbeats
-	epoch  uint32
-	serial bool // SyncSerialIO: run workers inline in the dispatcher (ablation)
+	node  *Node
+	port  *mnet.Port // main handler: ACQUIRELOCK / RELEASELOCK / REGISTERREPLICA
+	aux   *mnet.Port // outbound probes: transfer directives, polls, heartbeats
+	epoch uint32
 
 	shards []*syncShard
 
@@ -207,7 +206,6 @@ func newSyncThread(n *Node, restore *SyncState) (*syncThread, error) {
 		port:        port,
 		aux:         aux,
 		epoch:       1,
-		serial:      n.cfg.SyncSerialIO,
 		shards:      newShards(n.cfg.SyncShards),
 		banned:      make(map[wire.ThreadID]banRecord),
 		pollWaiters: make(map[uint64]chan *wire.PollVersionReply),
@@ -240,24 +238,13 @@ func (s *syncThread) stop() {
 // Epoch returns the manager's incarnation number.
 func (s *syncThread) Epoch() uint32 { return s.epoch }
 
-// run executes completion actions produced by a state transition. The
-// default spawns one goroutine per action; SyncSerialIO mode runs them
-// inline on the caller (the port dispatcher), faithfully reproducing the
-// pre-S30 head-of-line blocking for the ablation baseline. Actions must
-// only be run after every lock mutex is released.
+// run starts one completion worker per action produced by a state
+// transition. Actions must only be run after every lock mutex is
+// released.
 func (s *syncThread) run(actions []func()) {
 	for _, f := range actions {
-		s.spawn(f)
+		go f()
 	}
-}
-
-// spawn runs one completion action per the serial/concurrent policy.
-func (s *syncThread) spawn(f func()) {
-	if s.serial {
-		f()
-		return
-	}
-	go f()
 }
 
 // handle is the main dispatcher loop body of Figure 7. It must never
@@ -342,7 +329,7 @@ func (s *syncThread) onAcquire(msg *wire.AcquireLock) {
 			s.node.log.Logf("sync", "refusing acquire of unregistered lock %d by thread %d", msg.Lock, msg.Thread)
 		}
 		s.recordNack(msg, "lock never registered")
-		s.spawn(s.nackAction(msg, wire.NackUnknownLock, "lock never registered"))
+		go s.nackAction(msg, wire.NackUnknownLock, "lock never registered")()
 		return
 	}
 	lease := s.node.cfg.DefaultLease
@@ -374,7 +361,7 @@ func (s *syncThread) onAcquire(msg *wire.AcquireLock) {
 		if s.node.log.On() {
 			s.node.log.Logf("sync", "re-issuing held lock %d to thread %d as a revised grant", msg.Lock, msg.Thread)
 		}
-		s.spawn(func() { s.deliverGrant(l, req, h, g) })
+		go s.deliverGrant(l, req, h, g)
 		return
 	}
 	for _, q := range l.queue {
@@ -528,7 +515,7 @@ func (s *syncThread) onRelease(msg *wire.ReleaseLock) {
 		l.frozen = true
 		push := hs.standbyActionLocked(l)
 		l.mu.Unlock()
-		s.spawn(func() {
+		go func() {
 			push()
 			l.mu.Lock()
 			s.node.recordHist(relEv)
@@ -537,7 +524,7 @@ func (s *syncThread) onRelease(msg *wire.ReleaseLock) {
 			actions := s.tryGrantLocked(l)
 			l.mu.Unlock()
 			s.run(actions)
-		})
+		}()
 		return
 	}
 	s.node.recordHist(relEv)
@@ -587,7 +574,7 @@ func (s *syncThread) onRegister(msg *wire.RegisterReplica) {
 	}
 	l.mu.Unlock()
 	if standby != nil {
-		s.spawn(standby)
+		go standby()
 	}
 	if seeded && s.node.log.On() {
 		s.node.log.Logf("sync", "lock %d seeded at v1 by creator site %d", msg.Lock, msg.Site)
@@ -730,7 +717,7 @@ func (s *syncThread) refuseBanned(msg *wire.AcquireLock, reason string) {
 		s.node.log.Logf("sync", "refusing banned thread %d: %s", msg.Thread, reason)
 	}
 	s.recordNack(msg, reason)
-	s.spawn(s.nackAction(msg, wire.NackBanned, reason))
+	go s.nackAction(msg, wire.NackBanned, reason)()
 }
 
 // holdCurrentLocked reports whether the hold h is still the installed one;
@@ -839,11 +826,11 @@ func (s *syncThread) sweepOnce() {
 	}
 	for _, sp := range suspects {
 		sp := sp
-		s.spawn(func() { s.checkHolder(sp.l, sp.h) })
+		go s.checkHolder(sp.l, sp.h)
 	}
 	for _, d := range departures {
 		d := d
-		s.spawn(func() { s.home.migrate(d.l, d.to) })
+		go s.home.migrate(d.l, d.to)
 	}
 }
 

@@ -42,8 +42,8 @@ type transferService struct {
 	// connected before the transfer timeout (stranded handshakes).
 	abandonedListeners atomic.Int64
 	// replicaBytes counts the bytes of replica-carrying frames this node
-	// has sent (full and delta alike) — the bytes-on-wire metric of the
-	// delta-transfer ablation.
+	// has sent (full and delta alike) — the bytes-on-wire metric delta
+	// transfer is judged by.
 	replicaBytes atomic.Int64
 	// deltaSends / fullSends count replica frames sent as deltas vs full
 	// copies; deltaFallbacks counts deltas the receiver could not apply
@@ -165,7 +165,7 @@ func (t *transferService) useStream(size int) bool {
 	case ModeHybrid:
 		return true
 	case ModeAdaptive:
-		return size > t.node.cfg.AdaptiveThreshold
+		return size > adaptiveThreshold
 	default:
 		return false
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -12,33 +11,6 @@ import (
 	"mocha/internal/netsim"
 	"mocha/internal/obs"
 )
-
-// TestSerialIOAblation checks the pre-batching path is preserved intact
-// behind Config.SerialIO: round trip, loss recovery, and the sweep-loop
-// retransmit all still work.
-func TestSerialIOAblation(t *testing.T) {
-	cfg := Config{SerialIO: true, RTO: 30 * time.Millisecond, MaxRetries: 50}
-	e1, e2, _ := pairConfig(t, netsim.Perfect().Lossy(0.3), cfg)
-	if e1.fl != nil || e1.wheel != nil {
-		t.Fatal("SerialIO endpoint built a flusher or wheel")
-	}
-	ch, _ := collect(t, e2, 5)
-	sender, _ := e1.OpenPort(9)
-	payload := make([]byte, 20*1024)
-	rand.New(rand.NewSource(11)).Read(payload)
-	sendOK(t, sender, e2.PortAddr(5), payload)
-	select {
-	case m := <-ch:
-		if !bytes.Equal(m.Data, payload) {
-			t.Fatal("corrupted under loss")
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("never recovered from loss")
-	}
-	if st := e1.Stats(); st.Retransmits == 0 {
-		t.Fatal("expected sweep-loop retransmissions under 30% loss")
-	}
-}
 
 // TestFlusherBatchesUnderLoad drives concurrent senders at one peer and
 // checks the flusher actually coalesced packets: the batch counters must
@@ -49,13 +21,19 @@ func TestFlusherBatchesUnderLoad(t *testing.T) {
 	ch, _ := collect(t, e2, 5)
 	sender, _ := e1.OpenPort(9)
 
-	const msgs = 200
+	// Many senders, few messages each: a flush carries more than one
+	// packet only when an enqueue lands while the flusher is busy, and on
+	// a loaded two-core box eight senders sometimes never managed that.
+	const (
+		msgs    = 256 // collect's channel holds 256
+		senders = 32
+	)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < senders; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < msgs/8; i++ {
+			for i := 0; i < msgs/senders; i++ {
 				sendOK(t, sender, e2.PortAddr(5), []byte{byte(g), byte(i)})
 			}
 		}(g)
@@ -73,8 +51,8 @@ func TestFlusherBatchesUnderLoad(t *testing.T) {
 	if batches == 0 {
 		t.Fatal("no flushes recorded")
 	}
-	// Every data fragment and every ack crosses a flusher; 200 messages
-	// produce >=400 packets. If no flush ever carried more than one
+	// Every data fragment and every ack crosses a flusher; 256 messages
+	// produce >=512 packets. If no flush ever carried more than one
 	// packet, batching never engaged.
 	if pkts <= batches {
 		t.Fatalf("no coalescing: %d packets over %d flushes", pkts, batches)

@@ -74,7 +74,7 @@ func (f *flusher) enqueue(peer string, bp *[]byte) {
 
 // run drains the queues until the endpoint closes.
 func (f *flusher) run() {
-	defer f.e.sweepWG.Done()
+	defer f.e.flushWG.Done()
 	for {
 		select {
 		case <-f.wake:

@@ -65,19 +65,6 @@ type Config struct {
 	// (sends, deliveries, retransmits, failures, queue drops) into the
 	// shared observability plane alongside the endpoint-local Stats.
 	Metrics *obs.Registry
-	// SerialIO restores the pre-batching I/O path: one transport send
-	// per packet on the sender's goroutine, and a ticker-driven sweep
-	// that scans every in-flight message for overdue fragments. The
-	// default (false) routes outbound packets through a per-endpoint
-	// flusher that coalesces same-peer packets into transport batch
-	// sends, and schedules retransmissions on a hashed timer wheel so
-	// only due messages are touched. SerialIO is the ablation baseline
-	// for the load harness.
-	SerialIO bool
-	// Wheel overrides the timer wheel used for retransmission timeouts
-	// and gap sweeps when batching is enabled. Nil uses the shared
-	// process-wide wheel.
-	Wheel *netsim.Wheel
 }
 
 // withDefaults fills unset fields.
@@ -158,11 +145,9 @@ type Endpoint struct {
 	cfg Config
 	dg  transport.Datagram
 
-	// wheel schedules retransmission timeouts and the gap sweep when
-	// batching is enabled; nil under Config.SerialIO.
+	// wheel schedules retransmission timeouts and the gap sweep.
 	wheel *netsim.Wheel
-	// fl coalesces outbound packets into per-peer transport batches;
-	// nil under Config.SerialIO.
+	// fl coalesces outbound packets into per-peer transport batches.
 	fl     *flusher
 	gapJob netsim.WheelTimer
 
@@ -182,7 +167,7 @@ type Endpoint struct {
 	peers   map[string]*peer
 	outMsgs map[uint64]*outMsg
 	done    chan struct{}
-	sweepWG sync.WaitGroup
+	flushWG sync.WaitGroup
 }
 
 // bootSeq distinguishes endpoint incarnations created in one process; the
@@ -209,27 +194,15 @@ func NewEndpoint(dg transport.Datagram, cfg Config) *Endpoint {
 		ports:   make(map[uint16]*Port),
 		peers:   make(map[string]*peer),
 		outMsgs: make(map[uint64]*outMsg),
+		wheel:   netsim.DefaultWheel(),
 		done:    make(chan struct{}),
 	}
-	if e.cfg.SerialIO {
-		e.sweepWG.Add(1)
-		go e.sweepLoop()
-		// The handler registers only once the endpoint is fully built: a
-		// real socket's read loop delivers from a concurrent goroutine the
-		// moment it has somewhere to deliver to.
-		dg.SetHandler(e.receive)
-		return e
-	}
-	e.wheel = e.cfg.Wheel
-	if e.wheel == nil {
-		e.wheel = netsim.DefaultWheel()
-	}
 	e.fl = newFlusher(e)
-	e.sweepWG.Add(1)
+	e.flushWG.Add(1)
 	go e.fl.run()
 	// Gap release and reassembly expiry are periodic housekeeping, not
-	// per-message deadlines: one recurring wheel job replaces the old
-	// sweep ticker. It also samples the wheel-occupancy gauge.
+	// per-message deadlines: one recurring wheel job covers them and
+	// samples the wheel-occupancy gauge.
 	interval := e.cfg.RTO / 2
 	if interval < 5*time.Millisecond {
 		interval = 5 * time.Millisecond
@@ -238,7 +211,9 @@ func NewEndpoint(dg transport.Datagram, cfg Config) *Endpoint {
 		e.releaseGaps()
 		e.cfg.Metrics.GaugeSet(obs.GWheelTimers, int64(e.wheel.Len()))
 	})
-	// Registered last: see the SerialIO branch.
+	// The handler registers only once the endpoint is fully built: a real
+	// socket's read loop delivers from a concurrent goroutine the moment
+	// it has somewhere to deliver to.
 	dg.SetHandler(e.receive)
 	return e
 }
@@ -304,7 +279,7 @@ func (e *Endpoint) Close() error {
 	close(e.done)
 	e.mu.Unlock()
 	e.gapJob.Stop()
-	e.sweepWG.Wait()
+	e.flushWG.Wait()
 	return e.dg.Close()
 }
 
@@ -452,29 +427,6 @@ func SplitAddr(addr string) (string, uint16, error) {
 		return "", 0, fmt.Errorf("mnet: address %q: %w", addr, err)
 	}
 	return addr[:i], uint16(port), nil
-}
-
-// sweepLoop periodically retransmits unacked fragments, expires stale
-// reassembly state, and releases in-order delivery gaps. It runs only
-// under Config.SerialIO; the batched path arms one wheel timer per
-// in-flight message instead, so a sweep never scans settled traffic.
-func (e *Endpoint) sweepLoop() {
-	defer e.sweepWG.Done()
-	interval := e.cfg.RTO / 2
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			e.retransmit()
-			e.releaseGaps()
-		case <-e.done:
-			return
-		}
-	}
 }
 
 // Ctx is a convenience wrapper building a send context with timeout.

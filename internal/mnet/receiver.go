@@ -37,17 +37,9 @@ func (e *Endpoint) handleData(from string, pkt []byte) {
 		return
 	}
 	// Always acknowledge, even duplicates: the sender may have missed the
-	// previous ack. Batched mode hands the ack to the flusher (which owns
-	// the buffer and coalesces same-peer acks into one transport batch);
-	// the serial path sends inline — the transport copies synchronously,
-	// so the pooled buffer goes straight back.
-	ack := encodeAck(p.msgID, p.fragIdx, p.boot, e.cfg.Key)
-	if e.fl != nil {
-		e.fl.enqueue(from, ack)
-	} else {
-		_ = e.dg.Send(from, *ack)
-		putPktBuf(ack)
-	}
+	// previous ack. The flusher owns the buffer and coalesces same-peer
+	// acks into one transport batch.
+	e.fl.enqueue(from, encodeAck(p.msgID, p.fragIdx, p.boot, e.cfg.Key))
 
 	e.stats.fragmentsRecv.Add(1)
 

@@ -18,8 +18,8 @@ type outMsg struct {
 	peer     *peer
 
 	// remaining counts fragments not yet acknowledged (zeroed on failure).
-	// The retransmit sweep reads it to skip settled messages without
-	// taking their mutex.
+	// A late timer firing reads it to skip a settled message without
+	// taking its mutex.
 	remaining atomic.Int32
 
 	mu     sync.Mutex
@@ -27,8 +27,8 @@ type outMsg struct {
 	total  int
 	acked  int
 	failed bool
-	// timer is the message's retransmission deadline on the wheel
-	// (batched mode only); stopped when the message settles.
+	// timer is the message's retransmission deadline on the wheel;
+	// stopped when the message settles.
 	timer netsim.WheelTimer
 	done  chan error // buffered(1); receives nil on full ack or the failure
 }
@@ -37,13 +37,6 @@ type outFrag struct {
 	buf      *[]byte // pooled encoded packet; nil once released
 	lastSent time.Time
 	retries  int
-	// sending marks the initial transmit as in progress outside m.mu; the
-	// packet buffer must then be released by the sending goroutine, never
-	// by the acker, so the transport never reads a recycled buffer.
-	sending bool
-	// release asks the in-flight sender to return the buffer: the frag was
-	// acked (or the message failed) while its first transmit was underway.
-	release bool
 }
 
 // ackFrag records an acknowledgment. It reports whether the message is now
@@ -90,13 +83,9 @@ func (m *outMsg) fail(err error) {
 	m.done <- err
 }
 
-// releaseFragLocked returns a fragment's packet buffer to the pool, or
-// defers that to the in-flight initial transmit. Caller holds m.mu.
+// releaseFragLocked returns a fragment's packet buffer to the pool.
+// Caller holds m.mu.
 func (m *outMsg) releaseFragLocked(f *outFrag) {
-	if f.sending {
-		f.release = true
-		return
-	}
 	if f.buf != nil {
 		putPktBuf(f.buf)
 		f.buf = nil
@@ -230,16 +219,14 @@ func (p *Port) sendMsg(ctx context.Context, to string, data []byte, app Appender
 		e.mu.Unlock()
 	}()
 
-	if e.wheel != nil {
-		// One wheel timer covers the whole message: each firing
-		// retransmits whatever is overdue and rearms, so settled
-		// messages cost the wheel nothing.
-		m.mu.Lock()
-		if !m.failed {
-			m.timer = e.wheel.AfterFunc(e.cfg.RTO, func() { e.msgTimeout(m) })
-		}
-		m.mu.Unlock()
+	// One wheel timer covers the whole message: each firing retransmits
+	// whatever is overdue and rearms, so settled messages cost the wheel
+	// nothing.
+	m.mu.Lock()
+	if !m.failed {
+		m.timer = e.wheel.AfterFunc(e.cfg.RTO, func() { e.msgTimeout(m) })
 	}
+	m.mu.Unlock()
 
 	for i := range chunks {
 		if pre == nil {
@@ -267,65 +254,29 @@ func (p *Port) sendMsg(ctx context.Context, to string, data []byte, app Appender
 			bp = encodeData(hdr, e.cfg.Key)
 		}
 
-		var cp *[]byte
-		if e.fl != nil {
-			// Batched path: hand the flusher its own pooled copy so the
-			// original stays pinned for retransmission — no release
-			// dance, and Send never blocks on the transport. Copy before
-			// the frag is published: once it sits in m.frags, an ack or a
-			// wheel-fired failure may recycle bp concurrently.
-			cp = getPktBuf(len(*bp))
-			copy(*cp, *bp)
-		}
+		// Hand the flusher its own pooled copy so the original stays
+		// pinned for retransmission and Send never blocks on the
+		// transport. Copy before the frag is published: once it sits in
+		// m.frags, an ack or a wheel-fired failure may recycle bp
+		// concurrently.
+		cp := getPktBuf(len(*bp))
+		copy(*cp, *bp)
 
 		m.mu.Lock()
 		if m.failed {
 			m.mu.Unlock()
 			putPktBuf(bp)
-			if cp != nil {
-				putPktBuf(cp)
-			}
+			putPktBuf(cp)
 			select {
 			case <-m.peer.window:
 			default:
 			}
 			break
 		}
-		f := &outFrag{buf: bp, lastSent: time.Now()}
-		if e.fl == nil {
-			f.sending = true
-		}
-		m.frags[uint32(i)] = f
+		m.frags[uint32(i)] = &outFrag{buf: bp, lastSent: time.Now()}
 		m.mu.Unlock()
 
-		if e.fl != nil {
-			e.fl.enqueue(peerAddr, cp)
-			e.stats.fragmentsSent.Add(1)
-			continue
-		}
-
-		// Transmit outside m.mu: on a zero-delay simulated network the
-		// transport delivers synchronously, and the resulting ack re-enters
-		// ackFrag on this very goroutine.
-		sendErr := e.dg.Send(peerAddr, *bp)
-
-		m.mu.Lock()
-		f.sending = false
-		if f.release {
-			// Acked (or failed) while the transmit was in flight; the
-			// buffer is now ours to return.
-			f.release = false
-			putPktBuf(bp)
-			f.buf = nil
-		}
-		m.mu.Unlock()
-
-		if sendErr != nil {
-			// An address the transport rejects outright will never be
-			// acknowledged; fail fast instead of waiting out retries.
-			m.fail(fmt.Errorf("mnet: transmit: %w", sendErr))
-			break
-		}
+		e.fl.enqueue(peerAddr, cp)
 		e.stats.fragmentsSent.Add(1)
 	}
 
@@ -365,73 +316,11 @@ func split(data []byte, mss int) [][]byte {
 	return chunks
 }
 
-// retransmit resends overdue fragments and fails messages that exhausted
-// their retries.
-func (e *Endpoint) retransmit() {
-	e.mu.Lock()
-	msgs := make([]*outMsg, 0, len(e.outMsgs))
-	for _, m := range e.outMsgs {
-		msgs = append(msgs, m)
-	}
-	rto := e.cfg.RTO
-	maxRetries := e.cfg.MaxRetries
-	e.mu.Unlock()
-
-	now := time.Now()
-	for _, m := range msgs {
-		if m.remaining.Load() == 0 {
-			// Fully acked (or already failed): skip without taking the
-			// message mutex, so a sweep over a large in-flight window does
-			// not contend with senders on settled messages.
-			continue
-		}
-		m.mu.Lock()
-		var resend []*[]byte
-		gaveUp := false
-		for _, f := range m.frags {
-			if now.Sub(f.lastSent) < rto {
-				continue
-			}
-			if f.retries >= maxRetries {
-				gaveUp = true
-				break
-			}
-			f.retries++
-			f.lastSent = now
-			// Copy the packet: once m.mu drops, an ack may recycle f.buf
-			// while the resend below is still reading it.
-			cp := getPktBuf(len(*f.buf))
-			copy(*cp, *f.buf)
-			resend = append(resend, cp)
-		}
-		m.mu.Unlock()
-
-		if gaveUp {
-			for _, cp := range resend {
-				putPktBuf(cp)
-			}
-			m.fail(ErrSendFailed)
-			e.mu.Lock()
-			delete(e.outMsgs, m.id)
-			e.mu.Unlock()
-			continue
-		}
-		for _, cp := range resend {
-			_ = e.dg.Send(m.peerAddr, *cp)
-			putPktBuf(cp)
-		}
-		if len(resend) > 0 {
-			e.stats.retransmits.Add(int64(len(resend)))
-			e.cfg.Metrics.Add(obs.CRetransmits, int64(len(resend)))
-		}
-	}
-}
-
-// msgTimeout is the wheel-fired retransmission deadline for one message
-// (batched mode). It resends whatever is overdue, fails the message once
-// a fragment exhausts its retries, and rearms itself while fragments
-// remain in flight — so retransmission work is proportional to the
-// traffic that actually timed out, not to the whole in-flight window.
+// msgTimeout is the wheel-fired retransmission deadline for one message.
+// It resends whatever is overdue, fails the message once a fragment
+// exhausts its retries, and rearms itself while fragments remain in
+// flight — so retransmission work is proportional to the traffic that
+// actually timed out, not to the whole in-flight window.
 func (e *Endpoint) msgTimeout(m *outMsg) {
 	if m.remaining.Load() == 0 {
 		return

@@ -127,14 +127,14 @@ func runHubStress(t *testing.T, profile netsim.Profile, cfg Config, peers, msgs,
 }
 
 // TestConcurrentSendDistinctPeers hammers one endpoint with parallel
-// Sends to six peers over a zero-delay network — acks re-enter the sender
-// synchronously inside dg.Send, exercising the pooled-buffer handshake.
+// Sends to six peers over a zero-delay network, so acks recycle pooled
+// buffers while the flusher is still transmitting its copies.
 // Run under -race in CI.
 func TestConcurrentSendDistinctPeers(t *testing.T) {
 	runHubStress(t, netsim.Perfect(), Config{RTO: 50 * time.Millisecond, MaxRetries: 8}, 6, 40, 6000)
 }
 
-// TestConcurrentSendLossyRetransmit adds loss so the sweep goroutine's
+// TestConcurrentSendLossyRetransmit adds loss so wheel-fired
 // retransmissions race concurrent sends and ack-time buffer recycling.
 func TestConcurrentSendLossyRetransmit(t *testing.T) {
 	cfg := Config{RTO: 20 * time.Millisecond, MaxRetries: 40, Window: 32}

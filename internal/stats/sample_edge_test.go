@@ -7,20 +7,11 @@ import (
 	"mocha/internal/obs"
 )
 
-// Sample is re-homed into internal/obs and aliased here; these tests pin
-// the alias identity and the edge cases the harness math depends on.
-
-func TestSampleIsObsSample(t *testing.T) {
-	var s Sample
-	var o *obs.Sample = &s // compile-time alias check
-	o.Add(time.Second)
-	if s.N() != 1 {
-		t.Fatal("stats.Sample and obs.Sample are not the same type")
-	}
-}
+// The harness math in internal/bench depends on these obs.Sample edge
+// cases.
 
 func TestSampleEdgeEmpty(t *testing.T) {
-	var s Sample
+	var s obs.Sample
 	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 ||
 		s.Stddev() != 0 || s.Median() != 0 || s.Percentile(95) != 0 {
 		t.Fatal("empty sample must report zeros")
@@ -28,7 +19,7 @@ func TestSampleEdgeEmpty(t *testing.T) {
 }
 
 func TestSampleEdgeSingle(t *testing.T) {
-	var s Sample
+	var s obs.Sample
 	s.Add(3 * time.Millisecond)
 	want := 3 * time.Millisecond
 	if s.Mean() != want || s.Min() != want || s.Max() != want ||
@@ -41,7 +32,7 @@ func TestSampleEdgeSingle(t *testing.T) {
 }
 
 func TestSampleEdgePercentileBoundaries(t *testing.T) {
-	var s Sample
+	var s obs.Sample
 	for i := 1; i <= 10; i++ {
 		s.Add(time.Duration(i) * time.Millisecond)
 	}

@@ -1,21 +1,15 @@
 // Package stats provides the small statistical and table-formatting
 // helpers the benchmark harness uses to report measurements the way the
 // paper's evaluation section does. The sample/histogram math itself lives
-// in the observability plane (internal/obs), shared with the runtime
-// metrics registry; this package keeps the formatting helpers and aliases
-// the sample type for its existing callers.
+// in the observability plane (obs.Sample), shared with the runtime
+// metrics registry; this package keeps the formatting helpers.
 package stats
 
 import (
 	"fmt"
 	"strings"
 	"time"
-
-	"mocha/internal/obs"
 )
-
-// Sample is a set of duration measurements (see obs.Sample).
-type Sample = obs.Sample
 
 // Millis renders a duration as milliseconds with sensible precision, the
 // unit the paper reports everything in.

@@ -4,12 +4,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mocha/internal/obs"
 )
 
 func ms(v int) time.Duration { return time.Duration(v) * time.Millisecond }
 
 func TestSampleStatistics(t *testing.T) {
-	var s Sample
+	var s obs.Sample
 	for _, v := range []int{10, 20, 30, 40, 50} {
 		s.Add(ms(v))
 	}
@@ -41,7 +43,7 @@ func TestSampleStatistics(t *testing.T) {
 }
 
 func TestEmptySample(t *testing.T) {
-	var s Sample
+	var s obs.Sample
 	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 || s.Stddev() != 0 {
 		t.Fatal("empty sample must report zeros")
 	}

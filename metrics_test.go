@@ -159,8 +159,10 @@ func TestMetricsHistorySharedClock(t *testing.T) {
 		}
 	}
 
-	snap := cluster.MetricsSnapshot()
+	// History first: the home processes the last release after Unlock has
+	// returned, so an event read after the snapshot could outrun its tick.
 	events := rec.Events()
+	snap := cluster.MetricsSnapshot()
 	if len(events) == 0 {
 		t.Fatal("history recorder captured nothing")
 	}
