@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-load bench-tree bench-home bench-store
+.PHONY: check fmt-check vet build test race transfer-order fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-load bench-tree bench-home bench-store
 
 # check is the full CI gate: formatting, static analysis, build, the
 # complete test suite, the race detector over the concurrency-heavy
 # packages, short fuzz passes over the wire and WAL-record decoders, and
 # the kill -9 crash-recovery smoke over the durable store.
-check: fmt-check vet build test race fuzz-smoke crash-smoke
+check: fmt-check vet build test race transfer-order fuzz-smoke crash-smoke
 
 # fmt-check fails if any Go file is not gofmt-clean.
 fmt-check:
@@ -32,6 +32,14 @@ test:
 # already covers without the race detector's slowdown.
 race:
 	$(GO) test -race -short ./...
+
+# transfer-order repeats the tests that pin the NEEDNEWVERSION path by
+# order — directive with the grant, recovery after it, carriage off the
+# daemon dispatcher, counters read after the ack — twenty times each. They
+# are sub-second, and an ordering regression here shows as a rare failure
+# long before it shows in benchmark/.
+transfer-order:
+	$(GO) test ./internal/core -count=20 -run 'TestTransferOvertakesGrantOnSlowHomeLink$$|TestUndeliverableGrantDiscardsDirective$$|TestRevisedGrantFollowsOriginal$$|TestDeadTransferDestDoesNotStallDaemon$$|TestDirectiveSourceFixedAtGrant$$|TestDeltaFallbackEvictedLog$$'
 
 # fuzz-smoke runs the wire-decoder fuzzer briefly on top of its checked-in
 # corpus (testdata/fuzz). Long open-ended fuzzing is a background job, not

@@ -20,6 +20,7 @@ import (
 type testCluster struct {
 	sn    *transport.SimNetwork
 	nodes map[wire.SiteID]*Node
+	rec   *check.Recorder
 }
 
 type clusterOpts struct {
@@ -77,7 +78,7 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 	t.Logf("cluster network seed %d (set %s to replay)", seed, netsim.SeedEnv)
 	sn := transport.NewSimNetwork(netsim.Config{Profile: opts.profile, Seed: seed})
 	rec := check.NewRecorder(0, sn.Clock())
-	tc := &testCluster{sn: sn, nodes: make(map[wire.SiteID]*Node)}
+	tc := &testCluster{sn: sn, nodes: make(map[wire.SiteID]*Node), rec: rec}
 
 	directory := make(map[wire.SiteID]string, n)
 	stacks := make(map[wire.SiteID]*transport.SimStack, n)
@@ -139,8 +140,14 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 			_ = node.Close()
 		}
 		_ = sn.Close()
-		if v := check.Check(rec.Events()); v != nil {
+		events := rec.Events()
+		if v := check.Check(events); v != nil {
 			t.Errorf("history violates entry consistency (seed %d): %v", seed, v)
+		}
+		for _, ev := range events {
+			if ev.Kind == wire.HistTransferSend && ev.Sites.Contains(ev.Site) {
+				t.Errorf("site %d transferred lock %d v%d to itself (seed %d)", ev.Site, ev.Lock, ev.Version, seed)
+			}
 		}
 	})
 	return tc
@@ -194,3 +201,19 @@ func mustAttach(t *testing.T, h *Handle, lockID wire.LockID, name string) (*Repl
 
 // settle gives asynchronous registrations time to reach the home site.
 func settle() { time.Sleep(30 * time.Millisecond) }
+
+// eventually waits (up to two seconds) for cond to hold and reports whether
+// it did. Use it before asserting on a sender-side tally the receiver's
+// call does not order: FullTransfersSent, DeltaTransfersSent and
+// ReplicaBytesSent count acknowledged sends, and a source daemon sees the
+// ack only after the receiver applied the data — possibly after the
+// receiver's Lock already returned.
+func eventually(t *testing.T, cond func() bool) bool {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if cond() {
+			return true
+		}
+	}
+	return cond()
+}

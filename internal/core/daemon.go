@@ -16,7 +16,10 @@ import (
 // dispatcher that owns access to the site's shared replicas, transfers
 // them to remote sites on request, and applies arriving updates. It runs
 // as the handler of the daemon port, so its work is serialized exactly
-// like the maximum-priority Java thread in the prototype.
+// like the maximum-priority Java thread in the prototype — except the
+// carriage of an outgoing transfer, which the dispatcher hands to a
+// goroutine once the replicas are marshaled (transferService.sendReplicas):
+// waiting for a destination's ack is not replica access.
 type daemon struct {
 	node *Node
 	port *mnet.Port
@@ -46,10 +49,11 @@ func (d *daemon) handle(m mnet.Message) {
 		// "when a daemon thread receives a request for its copy of
 		// replicas, the thread identifies the replicas associated with
 		// the lock identifier it receives, marshals those replicas and
-		// sends them to the mandated destination."
+		// sends them to the mandated destination." The send itself leaves
+		// the dispatcher; only a refusal comes back here.
 		if err := d.node.xfer.sendReplicas(msg); err != nil {
 			if d.node.log.On() {
-				d.node.log.Logf("daemon", "transfer of lock %d to site %d failed: %v", msg.Lock, msg.Dest, err)
+				d.node.log.Logf("daemon", "transfer of lock %d to site %d refused: %v", msg.Lock, msg.Dest, err)
 			}
 		}
 	case *wire.ReplicaData:

@@ -75,7 +75,9 @@ func TestDeltaTransferEndToEnd(t *testing.T) {
 		turn = 3 - turn
 	}
 
-	deltas := tc.node(1).DeltaTransfersSent() + tc.node(2).DeltaTransfersSent()
+	deltasSent := func() int64 { return tc.node(1).DeltaTransfersSent() + tc.node(2).DeltaTransfersSent() }
+	eventually(t, func() bool { return deltasSent() == 6 })
+	deltas := deltasSent()
 	if deltas != 6 {
 		t.Fatalf("sent %d delta transfers over 6 ping-pong rounds, want 6", deltas)
 	}
@@ -99,8 +101,8 @@ func TestDeltaTransferEndToEnd(t *testing.T) {
 	}
 	// The acquisition pulled round 6's write; its sender tallies the
 	// transfer only once the ack is back, so let that land first.
-	settle()
-	deltas = tc.node(1).DeltaTransfersSent() + tc.node(2).DeltaTransfersSent()
+	eventually(t, func() bool { return deltasSent() == 7 })
+	deltas = deltasSent()
 	bytes = tc.node(1).ReplicaBytesSent() + tc.node(2).ReplicaBytesSent()
 	ints := r.Content().IntsData()
 	for i := range ints {
@@ -113,7 +115,7 @@ func TestDeltaTransferEndToEnd(t *testing.T) {
 	if rewrite < fullSize || rewrite > fullSize+fullSize/10 {
 		t.Fatalf("full rewrite moved %d replica bytes, want one full copy (%d, at most 1.1x)", rewrite, fullSize)
 	}
-	if got := tc.node(1).DeltaTransfersSent() + tc.node(2).DeltaTransfersSent(); got != deltas {
+	if got := deltasSent(); got != deltas {
 		t.Fatalf("full rewrite shipped as a delta (%d delta sends, was %d)", got, deltas)
 	}
 
@@ -172,7 +174,7 @@ func TestDeltaDisabledBaseline(t *testing.T) {
 	if got := tc.node(1).DeltaTransfersSent() + tc.node(2).DeltaTransfersSent(); got != 0 {
 		t.Fatalf("baseline sent %d deltas, want 0", got)
 	}
-	if got := tc.node(1).FullTransfersSent() + tc.node(2).FullTransfersSent(); got == 0 {
+	if !eventually(t, func() bool { return tc.node(1).FullTransfersSent()+tc.node(2).FullTransfersSent() > 0 }) {
 		t.Fatal("baseline sent no full transfers at all")
 	}
 }
@@ -214,6 +216,9 @@ func TestDeltaFallbackEvictedLog(t *testing.T) {
 		}
 	}
 
+	// The seeding copy is tallied when its ack lands; take the baseline
+	// after that, not between the two.
+	eventually(t, func() bool { return tc.node(1).FullTransfersSent() == 1 })
 	before := tc.node(1).FullTransfersSent()
 	if err := rl2.Lock(ctx); err != nil {
 		t.Fatal(err)
@@ -226,6 +231,7 @@ func TestDeltaFallbackEvictedLog(t *testing.T) {
 	if err := rl2.Unlock(ctx); err != nil {
 		t.Fatal(err)
 	}
+	eventually(t, func() bool { return tc.node(1).FullTransfersSent()-before == 1 })
 	if got := tc.node(1).FullTransfersSent() - before; got != 1 {
 		t.Fatalf("stale site got %d full transfers, want 1 (chain evicted)", got)
 	}

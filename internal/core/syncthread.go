@@ -357,11 +357,12 @@ func (s *syncThread) onAcquire(msg *wire.AcquireLock) {
 		}
 		g := s.buildGrantLocked(l, req, l.version, flag, true, h.fence)
 		s.recordGrant(l, g, msg.Requester)
+		plan := s.planTransferLocked(l, g, msg.Requester)
 		l.mu.Unlock()
 		if s.node.log.On() {
 			s.node.log.Logf("sync", "re-issuing held lock %d to thread %d as a revised grant", msg.Lock, msg.Thread)
 		}
-		go s.deliverGrant(l, req, h, g)
+		go s.deliverGrant(l, req, h, g, plan)
 		return
 	}
 	for _, q := range l.queue {
@@ -587,11 +588,39 @@ func (s *syncThread) onRegister(msg *wire.RegisterReplica) {
 // this class of defect. Never set outside tests.
 var debugIgnoreHolder bool
 
+// transferPlan is the replica transfer a NEEDNEWVERSION grant implies,
+// resolved in the same l.mu hold that decided the grant: which daemon owns
+// the newest copy, at which version, and whether that copy is clean. The
+// delivery worker acts on this snapshot, so the directive names the same
+// source no matter when the worker runs or what is released meanwhile.
+type transferPlan struct {
+	src     wire.SiteID
+	version uint64
+	// usable reports that src holds a clean copy and is not the grantee
+	// itself; otherwise no directive is sent and delivery goes straight to
+	// the recovery poll, where dirty sites answer HasData=false.
+	usable bool
+}
+
+// planTransferLocked resolves the transfer a grant to dest implies, or nil
+// for a VERSIONOK grant; the caller holds l.mu.
+func (s *syncThread) planTransferLocked(l *syncLock, g *wire.Grant, dest wire.SiteID) *transferPlan {
+	if g.Flag != wire.NeedNewVersion {
+		return nil
+	}
+	src := l.lastOwner
+	return &transferPlan{
+		src:     src,
+		version: l.version,
+		usable:  src != dest && l.upToDate.Contains(src),
+	}
+}
+
 // tryGrantLocked hands the lock to the next compatible queued requests.
 // The caller holds l.mu. Holds are installed optimistically and the grant
 // deliveries returned as completion actions; an undeliverable grant
-// re-enters through onGrantFailed, which removes the hold and tries the
-// next requester.
+// re-enters through the failure branch of deliverGrant, which removes the
+// hold and tries the next requester.
 func (s *syncThread) tryGrantLocked(l *syncLock) []func() {
 	var actions []func()
 	// A frozen record is mid-handoff and a moved one is a tombstone:
@@ -634,8 +663,9 @@ func (s *syncThread) tryGrantLocked(l *syncLock) []func() {
 		g := s.buildGrantLocked(l, head, l.version, flag, false, h.fence)
 		s.recordRequest(l.id, head)
 		s.recordGrant(l, g, head.site)
+		plan := s.planTransferLocked(l, g, head.site)
 		req := head
-		actions = append(actions, func() { s.deliverGrant(l, req, h, g) })
+		actions = append(actions, func() { s.deliverGrant(l, req, h, g, plan) })
 		if !head.shared {
 			break
 		}

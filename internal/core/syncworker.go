@@ -23,12 +23,28 @@ func timeoutCtx(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
 
-// deliverGrant sends a GRANT and, when needed, directs the transfer of
-// the newest replicas to the grantee. A failed delivery means the
-// requester died: the worker re-enters the state machine, removes the
-// optimistically installed hold, and grants the next requester.
-func (s *syncThread) deliverGrant(l *syncLock, req *lockRequest, h *holderInfo, g *wire.Grant) {
+// deliverGrant sends a GRANT and, when the grant says NEEDNEWVERSION,
+// directs the transfer of the newest replicas to the grantee. The directive
+// leaves the home with the grant, not after its acknowledgment: it moves
+// committed bytes between daemons and changes no lock-table state, so it
+// needs neither the standby's nor the grantee's ack, and the replica data
+// reaches the grantee three hops after its ACQUIRELOCK instead of five.
+// Its outcome is joined only once the GRANT is delivered, so recovery and
+// every revised grant still follow the original grant on the wire. A failed
+// delivery means the requester died: the worker re-enters the state
+// machine, removes the optimistically installed hold, and grants the next
+// requester; the directive's outcome is then discarded.
+func (s *syncThread) deliverGrant(l *syncLock, req *lockRequest, h *holderInfo, g *wire.Grant, plan *transferPlan) {
 	deliverStart := time.Now()
+	var directive chan error
+	if plan != nil && plan.usable {
+		// Buffered: an undeliverable grant abandons the result, and the
+		// sender must still exit when its RequestTimeout-bounded send does.
+		directive = make(chan error, 1)
+		go func() {
+			directive <- s.sendDirective(l.id, plan.src, req.site, req.have, plan.version)
+		}()
+	}
 	if hs := s.home; hs != nil {
 		// Stream the hold to the standby before the grant leaves: once
 		// the client holds the lock, the ring successor must already be
@@ -74,38 +90,34 @@ func (s *syncThread) deliverGrant(l *syncLock, req *lockRequest, h *holderInfo, 
 			obs.S("flag", g.Flag.String()))
 	}
 
-	if g.Flag == wire.NeedNewVersion {
-		s.directTransfer(l, req, h)
+	if plan != nil {
+		s.finishTransfer(l, req, h, plan, directive)
 	}
 }
 
-// directTransfer orders the daemon holding the newest replicas to send a
-// copy to the grantee's site; on failure it runs the Section 4 recovery:
-// poll the remaining daemons for "the most recent version of the replicas
-// available" and, if only an older version survives, downgrade the grant.
-func (s *syncThread) directTransfer(l *syncLock, req *lockRequest, h *holderInfo) {
-	l.mu.Lock()
-	src := l.lastOwner
-	version := l.version
-	srcClean := l.upToDate.Contains(src)
-	l.mu.Unlock()
-	if !srcClean {
+// finishTransfer joins the directive deliverGrant launched, after the GRANT
+// was delivered. On failure it runs the Section 4 recovery: poll the
+// remaining daemons for "the most recent version of the replicas available"
+// and, if only an older version survives, downgrade the grant.
+func (s *syncThread) finishTransfer(l *syncLock, req *lockRequest, h *holderInfo, plan *transferPlan, directive <-chan error) {
+	if directive == nil {
 		// The last owner's copy was contaminated by a broken hold (its
-		// daemon would refuse the directive anyway): go straight to the
-		// recovery poll, where dirty sites answer HasData=false.
+		// daemon would refuse the directive anyway) or is the grantee's
+		// own: go straight to the recovery poll, where dirty sites answer
+		// HasData=false.
 		if s.node.log.On() {
-			s.node.log.Logf("fault", "transfer source %d for lock %d holds no clean copy; polling daemons", src, l.id)
+			s.node.log.Logf("fault", "transfer source %d for lock %d holds no clean copy; polling daemons", plan.src, l.id)
 		}
 		s.recoverTransfer(l, req, h, map[wire.SiteID]bool{})
 		return
 	}
-	if err := s.sendDirective(l.id, src, req.site, req.have, version); err == nil {
+	if err := <-directive; err == nil {
 		return
 	}
 	if s.node.log.On() {
-		s.node.log.Logf("fault", "transfer directive for lock %d to daemon %d timed out; polling daemons", l.id, src)
+		s.node.log.Logf("fault", "transfer directive for lock %d to daemon %d timed out; polling daemons", l.id, plan.src)
 	}
-	s.recoverTransfer(l, req, h, map[wire.SiteID]bool{src: true})
+	s.recoverTransfer(l, req, h, map[wire.SiteID]bool{plan.src: true})
 }
 
 // sendDirective sends one TRANSFERREPLICA to a daemon. destVersion is the

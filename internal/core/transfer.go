@@ -73,6 +73,15 @@ type transferService struct {
 	relayMu   sync.Mutex
 	relayAcks map[pushKey]chan *wire.RelayAck
 
+	// carriage tracks the goroutines moving directive-driven transfers to
+	// their destinations (see sendReplicas); ctx bounds them to the
+	// service's lifetime, so close() can cancel and then wait for them.
+	// cancel and carriage.Add both run under mu: no carriage starts once
+	// the context is cancelled, so Add never races Wait.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	carriage sync.WaitGroup
+
 	mu      sync.Mutex
 	streams map[uint64]chan string // RequestID -> remote stream address
 	// conns caches established streams per destination when the
@@ -91,11 +100,14 @@ func newTransferService(n *Node) (*transferService, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	t := &transferService{
 		node:      n,
 		port:      port,
 		tracker:   overlay.NewTracker(overlay.Config{Metrics: n.cfg.Metrics}),
 		relayAcks: make(map[pushKey]chan *wire.RelayAck),
+		ctx:       ctx,
+		cancel:    cancel,
 		streams:   make(map[uint64]chan string),
 		conns:     make(map[wire.SiteID]*cachedStream),
 	}
@@ -173,9 +185,15 @@ func (t *transferService) useStream(size int) bool {
 
 // sendReplicas executes a TransferReplica directive from the
 // synchronization thread: marshal the lock's local replicas and move them
-// to the destination daemon. It runs inside the daemon dispatcher, so its
-// marshaling and sending costs serialize with the site's other daemon
-// work, as in the prototype.
+// to the destination daemon. The uncommitted check, version snapshot,
+// marshaling and delta build run on the caller — the daemon dispatcher —
+// so directives see the replica state they arrived at, in arrival order,
+// and that cost serializes with the site's other daemon work as in the
+// prototype. Carriage — the sends and the wait for the destination's ack —
+// runs on its own tracked goroutine: a slow or dead destination must not
+// park the dispatcher while the REPLICADATA of this site's own pending
+// acquire queues behind it. The returned error covers the dispatcher half
+// only; a failed carriage is counted (obs.CTransferFailures) and logged.
 func (t *transferService) sendReplicas(dir *wire.TransferReplica) error {
 	if t.node.fireFault(FaultContext{
 		Point: FPDropMidTransfer, Peer: dir.Dest, Lock: dir.Lock, Version: dir.Version,
@@ -202,6 +220,14 @@ func (t *transferService) sendReplicas(dir *wire.TransferReplica) error {
 	if marshalErr != nil {
 		return marshalErr
 	}
+
+	t.mu.Lock()
+	if t.ctx.Err() != nil {
+		t.mu.Unlock()
+		return ErrClosed
+	}
+	t.carriage.Add(1)
+	t.mu.Unlock()
 	if t.node.histEnabled() {
 		t.node.recordHist(wire.HistoryEvent{
 			Kind: wire.HistTransferSend, Site: t.node.cfg.Site, Lock: dir.Lock,
@@ -209,10 +235,24 @@ func (t *transferService) sendReplicas(dir *wire.TransferReplica) error {
 			Sites: wire.NewSiteSet(dir.Dest), Note: "directive",
 		})
 	}
+	go func() {
+		defer t.carriage.Done()
+		ctx, cancel := context.WithTimeout(t.ctx, t.node.cfg.TransferTimeout)
+		defer cancel()
+		if err := t.carryReplicas(ctx, dir, version, payloads, delta); err != nil {
+			t.node.obs().Inc(obs.CTransferFailures)
+			if t.node.log.On() {
+				t.node.log.Logf("fault", "transfer of lock %d to site %d failed: %v", dir.Lock, dir.Dest, err)
+			}
+		}
+	}()
+	return nil
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), t.node.cfg.TransferTimeout)
-	defer cancel()
-
+// carryReplicas moves one directive's prepared replicas to the destination
+// daemon down the delta-then-full ladder, over the stream or mnet path, and
+// tallies each send the destination acknowledged.
+func (t *transferService) carryReplicas(ctx context.Context, dir *wire.TransferReplica, version uint64, payloads []wire.ReplicaPayload, delta *wire.ReplicaDelta) error {
 	if delta != nil {
 		applied, err := t.sendDeltaTransfer(ctx, dir, delta)
 		if err == nil && applied {
@@ -348,7 +388,7 @@ func (t *transferService) handleDeltaNack(msg *wire.DeltaNack) {
 	}
 	t.deltaFallbacks.Add(1)
 	t.node.obs().Inc(obs.CDeltaFallbacks)
-	go t.resendFull(msg)
+	t.resendFull(msg)
 }
 
 // resendFull answers a rejected transfer delta with a full copy of the
@@ -433,8 +473,15 @@ func (t *transferService) evictCached(dest wire.SiteID, cs *cachedStream) {
 	t.mu.Unlock()
 }
 
-// close tears down every cached stream connection; called from Node.Close.
+// close cancels and waits out in-flight transfer carriage, then tears down
+// every cached stream connection; called from Node.Close. Once it returns
+// the transfer counters are final.
 func (t *transferService) close() {
+	t.mu.Lock()
+	t.cancel()
+	t.mu.Unlock()
+	t.carriage.Wait()
+
 	t.mu.Lock()
 	conns := t.conns
 	t.conns = make(map[wire.SiteID]*cachedStream)
@@ -548,6 +595,10 @@ func (t *transferService) writeFrame(ctx context.Context, conn transport.Conn, f
 	} else {
 		_ = transport.SetReadDeadlineConn(conn, t.node.cfg.TransferTimeout)
 	}
+	// A cancelled transfer (the service closing) must not sit out the
+	// deadline waiting for an ack.
+	stop := context.AfterFunc(ctx, func() { _ = conn.SetReadDeadline(time.Now()) })
+	defer stop()
 	var ack [1]byte
 	if _, err := io.ReadFull(conn, ack[:]); err != nil {
 		return 0, fmt.Errorf("await stream ack: %w", err)

@@ -111,6 +111,10 @@ const (
 	// CHomeRedirects counts NackNotHome redirects sent to requesters
 	// that routed a lock request to a stale home.
 	CHomeRedirects
+	// CTransferFailures counts directive-driven replica transfers whose
+	// carriage to the destination daemon failed (unreachable or timed
+	// out), tallied by the source daemon.
+	CTransferFailures
 	numCounters
 )
 
@@ -153,6 +157,7 @@ var counterNames = [numCounters]string{
 	CStandbyUpdates:    "mocha_standby_updates_total",
 	CStandbyPromotions: "mocha_standby_promotions_total",
 	CHomeRedirects:     "mocha_home_redirects_total",
+	CTransferFailures:  "mocha_transfer_failures_total",
 }
 
 // Name returns the counter's exported name.

@@ -93,6 +93,7 @@ func (s *SimStack) newConn(remote netsim.NodeID) *simConn {
 		remote:      remote,
 		established: make(chan struct{}),
 		incoming:    make(chan []byte, 8192),
+		rearm:       make(chan struct{}),
 		finSeq:      -1,
 		reorder:     make(map[uint32][]byte),
 	}
@@ -265,6 +266,9 @@ type simConn struct {
 	incoming chan []byte
 	leftover []byte
 	deadline time.Time
+	// rearm is closed and replaced by SetReadDeadline so that, as with a
+	// net.Conn, a new deadline also applies to a Read already blocked.
+	rearm chan struct{}
 }
 
 var _ Conn = (*simConn)(nil)
@@ -322,30 +326,43 @@ func (c *simConn) drainLocked() {
 
 // Read implements Conn.
 func (c *simConn) Read(p []byte) (int, error) {
+	for {
+		n, rearmed, err := c.readOnce(p)
+		if !rearmed {
+			return n, err
+		}
+	}
+}
+
+// readOnce is one wait of Read under the deadline current when it starts;
+// rearmed reports that SetReadDeadline changed the deadline mid-wait and
+// the read must start over under the new one.
+func (c *simConn) readOnce(p []byte) (n int, rearmed bool, err error) {
 	c.mu.Lock()
 	if len(c.leftover) > 0 {
 		n := copy(p, c.leftover)
 		c.leftover = c.leftover[n:]
 		c.mu.Unlock()
-		return n, nil
+		return n, false, nil
 	}
 	if c.closed {
 		c.mu.Unlock()
-		return 0, ErrClosed
+		return 0, false, ErrClosed
 	}
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return 0, err
+		return 0, false, err
 	}
 	deadline := c.deadline
+	rearm := c.rearm
 	c.mu.Unlock()
 
 	var timeout <-chan time.Time
 	if !deadline.IsZero() {
 		d := time.Until(deadline)
 		if d <= 0 {
-			return 0, ErrTimeout
+			return 0, false, ErrTimeout
 		}
 		t := time.NewTimer(d)
 		defer t.Stop()
@@ -357,7 +374,7 @@ func (c *simConn) Read(p []byte) (int, error) {
 			c.mu.Lock()
 			c.err = io.EOF
 			c.mu.Unlock()
-			return 0, io.EOF
+			return 0, false, io.EOF
 		}
 		n := copy(p, payload)
 		if n < len(payload) {
@@ -365,9 +382,11 @@ func (c *simConn) Read(p []byte) (int, error) {
 			c.leftover = payload[n:]
 			c.mu.Unlock()
 		}
-		return n, nil
+		return n, false, nil
 	case <-timeout:
-		return 0, ErrTimeout
+		return 0, false, ErrTimeout
+	case <-rearm:
+		return 0, true, nil
 	}
 }
 
@@ -412,6 +431,8 @@ func (c *simConn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.deadline = t
+	close(c.rearm)
+	c.rearm = make(chan struct{})
 	return nil
 }
 

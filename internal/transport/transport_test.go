@@ -243,6 +243,44 @@ func TestSimStreamReadDeadline(t *testing.T) {
 	}
 }
 
+// TestSimStreamDeadlineWakesBlockedRead: as with a net.Conn, moving the
+// read deadline applies to a Read already blocked under the old one.
+func TestSimStreamDeadlineWakesBlockedRead(t *testing.T) {
+	_, a, b := newSimPair(t)
+	ln, _ := b.ListenStream()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			defer c.Close()
+			_, _ = c.Read(make([]byte, 1)) // hold the connection open
+		}
+	}()
+	c, err := a.DialStream(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := SetReadDeadlineConn(c, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	readErr := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 16))
+		readErr <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the Read block under the minute
+	if err := c.SetReadDeadline(time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-readErr:
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("Read error = %v, want timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked Read ignored the new deadline")
+	}
+}
+
 func TestSimStreamListenerClose(t *testing.T) {
 	_, _, b := newSimPair(t)
 	ln, _ := b.ListenStream()
