@@ -11,12 +11,13 @@ import (
 	"mocha/internal/bench"
 	"mocha/internal/core"
 	"mocha/internal/mnet"
+	"mocha/internal/overlay"
 )
 
 // TestSurfaceCensus keeps the switch and artifact surface from regrowing
 // unnoticed: every checked-in BENCH_*.json must be the output of a
 // registered experiment (benchmocha -json strips the "ablate-" prefix),
-// every `-exp <id>` the Makefile runs must be registered, and the two
+// every `-exp <id>` the Makefile runs must be registered, and the three
 // layer configs may not gain a field without this test being edited in the
 // same change — which is where the new field's second caller gets named.
 func TestSurfaceCensus(t *testing.T) {
@@ -60,6 +61,7 @@ func TestSurfaceCensus(t *testing.T) {
 	}{
 		{"core.Config", reflect.TypeOf(core.Config{}), 28},
 		{"mnet.Config", reflect.TypeOf(mnet.Config{}), 8},
+		{"overlay.Config", reflect.TypeOf(overlay.Config{}), 5},
 	} {
 		if n := c.typ.NumField(); n > c.max {
 			t.Errorf("%s has %d fields, census allows %d: a new option needs two non-test callers that set it differently", c.name, n, c.max)

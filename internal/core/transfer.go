@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -855,7 +856,14 @@ func (n *Node) PushPayloads(ctx context.Context, lock wire.LockID, version uint6
 // The probe phase a harness may run seeds the tracker; this keeps it fed
 // for the rest of the run, so RTT drift (route changes, migrated homes)
 // reaches the relay plan without re-probing.
+//
+// Under HomePlacement the request phase is not a distance: it contains the
+// home's round trip to its standby, so a near home would read as a far
+// one. Those samples are not fed.
 func (t *transferService) feedTracker() {
+	if t.node.cfg.HomePlacement {
+		return
+	}
 	reg := t.node.obs()
 	t.spanMu.Lock()
 	recs, cur := reg.SpansSince(t.spanCursor)
@@ -1048,12 +1056,13 @@ func (t *transferService) disseminateTree(ctx context.Context, pb *pushBlob, can
 // ack. A relay the grant listed as up to date is offered the release's
 // push delta first, through the same delta-then-full ladder as a direct
 // push; a relay that cannot apply it answers need-full and gets the full
-// form once. The relay's ack latency and losses feed its quality score; a
-// relay that fails is routed around with direct pushes to the whole bucket,
-// and members the relay could not reach are direct-pushed individually —
-// either way a sick relay degrades its bucket to flat fan-out instead of
-// losing the version (a re-push of an already-applied version is dropped
-// as stale by the receiver, so the overlap is harmless).
+// form once. The relay's ack latency and losses feed its quality score,
+// and the hops its ack reports feed the plan's pair distances. A relay that
+// fails is routed around with direct pushes to the whole bucket, and
+// members the relay could not reach are direct-pushed individually — either
+// way a sick relay degrades its bucket to flat fan-out instead of losing
+// the version (a re-push of an already-applied version is dropped as stale
+// by the receiver, so the overlap is harmless).
 func (t *transferService) pushViaRelay(ctx context.Context, pb *pushBlob, g overlay.Group, upToDate wire.SiteSet, pushDirect func(wire.SiteID), confirm func(...wire.SiteID)) {
 	reg := t.node.obs()
 	bucket := append([]wire.SiteID{g.Relay}, g.Members...)
@@ -1127,6 +1136,11 @@ func (t *transferService) pushViaRelay(ctx context.Context, pb *pushBlob, g over
 		repair(bucket)
 		return
 	}
+	// The relay timed its push to each member it reached: that is the one
+	// distance the plan needs and this site cannot measure.
+	for i, site := range ack.Acked.Sites() {
+		t.tracker.ObserveHop(g.Relay, site, time.Duration(ack.HopMicros[i])*time.Microsecond)
+	}
 	// Route around members the relay could not reach.
 	var missed []wire.SiteID
 	for _, site := range bucket {
@@ -1143,7 +1157,8 @@ func (t *transferService) pushViaRelay(ctx context.Context, pb *pushBlob, g over
 
 // relayFan services a RelayPush on the bucket relay: apply the version
 // locally, re-fan it to the bucket's remaining members, and answer the
-// origin with the aggregated set of sites that confirmed application. A
+// origin with the aggregated set of sites that confirmed application and
+// the round trip each one's push took. A
 // full-form push re-fans ordinary PushUpdates; a delta-form push is patched
 // in through applyDelta and re-fanned down the same delta-then-full ladder
 // as a direct push, with the full copy served from this site's post-apply
@@ -1180,7 +1195,10 @@ func (t *transferService) relayFan(msg *wire.RelayPush, replyTo string) {
 		n.applyPayloads(msg.Lock, msg.Version, msg.Replicas, "relay", msg.Origin)
 	}
 
-	var ackMu sync.Mutex
+	var (
+		ackMu sync.Mutex
+		hops  = make(map[wire.SiteID]time.Duration)
+	)
 	payloads := msg.Replicas
 	st := n.getLockLocal(msg.Lock)
 	st.mu.Lock()
@@ -1212,17 +1230,25 @@ func (t *transferService) relayFan(msg *wire.RelayPush, replyTo string) {
 	if len(members) > 0 {
 		pb := t.preparePushBlob(msg.Lock, msg.Version, payloads, delta)
 		t.forEachBounded(members, func(site wire.SiteID) {
+			start := time.Now()
 			if err := t.pushTo(context.Background(), site, pb, msg.UpToDate.Contains(site)); err != nil {
 				if n.log.On() {
 					n.log.Logf("fault", "relay re-fan of lock %d v%d to site %d failed: %v", msg.Lock, msg.Version, site, err)
 				}
 				return
 			}
+			hop := time.Since(start)
 			reg.Inc(obs.CRelayFanout)
 			ackMu.Lock()
 			ack.Acked.Add(site)
+			hops[site] = hop
 			ackMu.Unlock()
 		})
+	}
+	// Each acked member's push round trip rides the ack: it is this site's
+	// distance to the member, which the origin's plan clusters on.
+	for _, site := range ack.Acked.Sites() {
+		ack.HopMicros = append(ack.HopMicros, uint32(min(hops[site].Microseconds(), math.MaxUint32)))
 	}
 	t.sendRelayAck(ack, replyTo)
 }

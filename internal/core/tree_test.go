@@ -11,7 +11,7 @@ import (
 // treeCluster starts n sites with the dissemination tree enabled and the
 // home tracker seeded with a two-band RTT geography: sites in nearBand at
 // 5ms, sites in farBand at 52ms (distinct overlay buckets at the default
-// 10ms width). With equal scores the lowest site ID in each band is the
+// 12ms width). With equal scores the lowest site ID in each band is the
 // relay.
 func treeCluster(t *testing.T, n int, opts clusterOpts, near, far []wire.SiteID) *testCluster {
 	t.Helper()

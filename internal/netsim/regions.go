@@ -8,8 +8,11 @@ import "time"
 // regions get the Backbone profile stretched by Step per region of
 // "distance". Distances are measured from the region index difference, so
 // every region sits at a distinct RTT from region 0 (the home site's
-// region) — which is exactly the signal the dissemination overlay's
-// RTT-bucket clustering recovers.
+// region), but not from a middle region, and not always a whole overlay
+// bucket apart (Scaled(0.5) puts 24 and 30 ms in one 12 ms band). What
+// separates regions for the dissemination overlay is mutual distance: any
+// two sites in different regions are a backbone hop apart, any two in one
+// region a Local hop.
 //
 // Per-link overrides carry the full profile, jitter included: a sender
 // draws one uniform roll per packet and the router resolves it against
@@ -32,9 +35,10 @@ type Geography struct {
 // ablations: fast switched LANs inside each region (with switch-level
 // jitter), a slow 1997-class backbone between them (with route-level
 // jitter wide enough to matter), and a 6 ms one-way step per region of
-// distance
-// (12 ms of RTT — matching the overlay's 12 ms bucket, so regions land in
-// distinct buckets even with backbone jitter on the measurements).
+// distance (12 ms of RTT, one overlay bucket at full scale). An in-region
+// round trip is 0.6 ms and the shortest cross-region one 36 ms, so the
+// overlay's 12 ms hop threshold tells them apart at any scale down to a
+// third.
 func RegionalWAN(regions int) Geography {
 	return Geography{
 		Regions: regions,

@@ -1,9 +1,10 @@
 // Package overlay is Mocha's locality-aware dissemination overlay. It
-// clusters sharing sites into buckets by measured round-trip time, elects
-// one relay per bucket, and plans release-time pushes so the releaser's
-// uplink carries one frame per region instead of one per sharer; the relay
-// re-fans the version over its cheap local links (core/transfer.go speaks
-// the RelayPush/RelayAck protocol the plan drives).
+// clusters sharing sites into buckets by measured round-trip time — from
+// the origin first, then from each elected relay to its members, as the
+// relays report it — elects one relay per cluster, and plans release-time
+// pushes so the releaser's uplink carries one frame per region instead of
+// one per sharer; the relay re-fans the version over its cheap local links
+// (core/transfer.go speaks the RelayPush/RelayAck protocol the plan drives).
 //
 // Relays are scored continuously: every observed ack pulls a peer's score
 // toward perfect, every loss or pathologically slow aggregated ack pulls
@@ -27,10 +28,12 @@ import (
 // filled in by NewTracker.
 type Config struct {
 	// BucketWidth is the RTT quantum: peers whose smoothed RTT falls in the
-	// same BucketWidth-wide band share a locality bucket. Default 12ms —
-	// matching the regional WAN geography's 12 ms RTT distance step, so
-	// regions stay in distinct buckets while per-link jitter (up to 2 ms a
-	// hop on the backbone) and serialization noise are absorbed.
+	// same BucketWidth-wide band share a locality bucket, and inside a
+	// bucket a member stays with its relay unless the relay's measured hop
+	// to it is at least BucketWidth. Default 12ms — the regional WAN
+	// geography's RTT distance step, far above an in-region hop and the
+	// backbone's per-link jitter (up to 2 ms a hop), far below any
+	// cross-region round trip.
 	BucketWidth time.Duration
 	// Alpha is the EWMA weight of a new sample (0 < Alpha <= 1). Default
 	// 0.5: two consecutive losses demote a perfect peer below the default
@@ -75,19 +78,41 @@ type peer struct {
 	losses int64
 }
 
-// Tracker accumulates per-peer RTT and relay-quality observations and
-// plans locality-bucketed dissemination. All methods are safe for
-// concurrent use.
+// sitePair is an unordered pair of sites, lower ID first.
+type sitePair struct{ lo, hi wire.SiteID }
+
+func pairOf(a, b wire.SiteID) sitePair {
+	if a > b {
+		a, b = b, a
+	}
+	return sitePair{a, b}
+}
+
+// hopStat is what relays have reported about one pair's mutual distance:
+// the fastest push round trip between them and how many were seen.
+type hopStat struct {
+	min time.Duration
+	n   int
+}
+
+// Tracker accumulates per-peer RTT and relay-quality observations, plus
+// the relay-to-member hops relays report, and plans locality-bucketed
+// dissemination. All methods are safe for concurrent use.
 type Tracker struct {
 	cfg Config
 
 	mu    sync.Mutex
 	peers map[wire.SiteID]*peer
+	hops  map[sitePair]hopStat
 }
 
 // NewTracker builds an empty tracker.
 func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), peers: make(map[wire.SiteID]*peer)}
+	return &Tracker{
+		cfg:   cfg.withDefaults(),
+		peers: make(map[wire.SiteID]*peer),
+		hops:  make(map[sitePair]hopStat),
+	}
 }
 
 // get returns the peer record, creating a perfect-score one. Caller holds mu.
@@ -152,6 +177,48 @@ func (t *Tracker) ObserveAck(site wire.SiteID, lat time.Duration) {
 	t.mu.Unlock()
 }
 
+// ObserveHop records one push round trip a relay measured to a member of
+// its group — the distance between two remote sites, which the origin
+// cannot measure itself. The tracker keeps the pair's minimum: a hop
+// includes the member's apply and, now and then, a delta-to-full fallback or
+// a stall, and only the fastest sample bounds the link.
+func (t *Tracker) ObserveHop(relay, member wire.SiteID, hop time.Duration) {
+	if relay == member || hop < 0 {
+		return
+	}
+	k := pairOf(relay, member)
+	t.mu.Lock()
+	st := t.hops[k]
+	if st.n == 0 || hop < st.min {
+		st.min = hop
+	}
+	st.n++
+	t.hops[k] = st
+	t.mu.Unlock()
+}
+
+// far reports whether a member is known to sit at least a BucketWidth from
+// its relay. One slow sample proves nothing (a GC pause, a delta-to-full
+// fallback), so a pair is far only once two samples agree; a pair nobody
+// measured is near.
+//
+// A far verdict stops the relay pushing to the member, and with that the
+// samples that could overturn it — and two slow samples do happen together:
+// a relay re-fanning full copies over an unsplit bucket queues its in-region
+// copies behind the backbone ones on its own uplink. So the verdict is
+// suspended on the relay's 4th, 8th, 16th, ... ack: that one release is
+// planned as if the pair were unknown, the relay measures it again, and the
+// pair's minimum either drops below the width for good or stands. Caller
+// holds mu.
+func (t *Tracker) far(relay, member wire.SiteID) bool {
+	st := t.hops[pairOf(relay, member)]
+	if st.n < 2 || st.min < t.cfg.BucketWidth {
+		return false
+	}
+	acks := t.peers[relay].acks
+	return acks < 4 || acks&(acks-1) != 0
+}
+
 // ObserveLoss records a failed or timed-out exchange with a peer, pulling
 // its score toward dead. With the default Alpha, two consecutive losses
 // drop a perfect peer below the default health floor.
@@ -190,8 +257,8 @@ func (t *Tracker) Healthy(site wire.SiteID) bool {
 	return t.Score(site) >= t.cfg.HealthFloor
 }
 
-// Group is one locality bucket of a dissemination plan: the releaser sends
-// the version once to Relay, which re-fans it to Members.
+// Group is one locality cluster of a dissemination plan: the releaser
+// sends the version once to Relay, which re-fans it to Members.
 type Group struct {
 	Relay   wire.SiteID
 	Members []wire.SiteID
@@ -204,12 +271,17 @@ type Plan struct {
 	Direct []wire.SiteID
 }
 
-// Plan buckets targets by smoothed RTT and elects one healthy relay per
-// bucket (highest score; ties break on the lowest site ID). Targets fall
-// back to Direct when the overlay has no RTT sample for them, when their
-// bucket is a singleton (a relay hop would only add latency), or when no
-// bucket member is healthy. Output ordering is deterministic: groups by
-// ascending bucket, members and directs ascending by site ID.
+// Plan buckets targets by smoothed RTT from this site, then splits each
+// bucket by mutual distance: it elects one healthy relay (highest score;
+// ties break on the lowest site ID), groups with it every member not known
+// to be far from it, and repeats on the members left over — so two regions
+// that are equally far from the origin but far from each other each get
+// their own relay once a relay has reported the hops. Targets fall back to
+// Direct when the overlay has no RTT sample for them, when they end up
+// alone (a relay hop would only add latency), or when nobody left in their
+// bucket is healthy. Output is deterministic given the same observations:
+// groups by ascending bucket then election order, members and directs
+// ascending by site ID.
 func (t *Tracker) Plan(targets []wire.SiteID) Plan {
 	t.mu.Lock()
 	buckets := make(map[int][]wire.SiteID)
@@ -229,41 +301,50 @@ func (t *Tracker) Plan(targets []wire.SiteID) Plan {
 	}
 	sort.Ints(keys)
 	for _, b := range keys {
-		members := buckets[b]
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		if len(members) < 2 {
-			plan.Direct = append(plan.Direct, members...)
-			continue
-		}
-		relay := wire.SiteID(0)
-		best := -1.0
-		for _, site := range members {
-			p := t.peers[site]
-			if p.score < t.cfg.HealthFloor {
-				continue
+		left := buckets[b]
+		sort.Slice(left, func(i, j int) bool { return left[i] < left[j] })
+		for len(left) > 0 {
+			relay, ok := t.elect(left)
+			if !ok {
+				// No healthy candidate: degrade what is left to direct.
+				plan.Direct = append(plan.Direct, left...)
+				break
 			}
-			if p.score > best {
-				best = p.score
-				relay = site
+			var members, rest []wire.SiteID
+			for _, site := range left {
+				switch {
+				case site == relay:
+				case t.far(relay, site):
+					rest = append(rest, site)
+				default:
+					members = append(members, site)
+				}
 			}
-		}
-		if best < 0 {
-			// No healthy candidate: degrade the whole bucket to direct.
-			plan.Direct = append(plan.Direct, members...)
-			continue
-		}
-		rest := make([]wire.SiteID, 0, len(members)-1)
-		for _, site := range members {
-			if site != relay {
-				rest = append(rest, site)
+			if len(members) == 0 {
+				plan.Direct = append(plan.Direct, relay)
+			} else {
+				plan.Groups = append(plan.Groups, Group{Relay: relay, Members: members})
 			}
+			left = rest
 		}
-		plan.Groups = append(plan.Groups, Group{Relay: relay, Members: rest})
 	}
 	t.mu.Unlock()
 	sort.Slice(plan.Direct, func(i, j int) bool { return plan.Direct[i] < plan.Direct[j] })
 	t.cfg.Metrics.GaugeSet(obs.GRelayBuckets, int64(len(plan.Groups)))
 	return plan
+}
+
+// elect picks the relay among sites (ascending by ID): the healthy one with
+// the highest score, the lowest ID on a tie. Caller holds mu.
+func (t *Tracker) elect(sites []wire.SiteID) (relay wire.SiteID, ok bool) {
+	best := -1.0
+	for _, site := range sites {
+		if p := t.peers[site]; p.score >= t.cfg.HealthFloor && p.score > best {
+			best = p.score
+			relay = site
+		}
+	}
+	return relay, best >= 0
 }
 
 // SeedFromSpans feeds the tracker from the obs span ring: every recorded

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -169,5 +170,192 @@ func TestSeedFromSpans(t *testing.T) {
 	}
 	if _, ok := tr.RTT(5); ok {
 		t.Fatal("span without a request_rtt phase produced an RTT")
+	}
+}
+
+// hopObs is one relay-reported hop, fed to ObserveHop in order.
+type hopObs struct {
+	relay, member wire.SiteID
+	hop           time.Duration
+}
+
+// twice repeats each hop, the sample count that makes a far pair count.
+func twice(hops ...hopObs) []hopObs {
+	return append(append([]hopObs(nil), hops...), hops...)
+}
+
+// TestPlanSplitsBucketByMutualDistance covers the second cut: sites 2-7
+// all sit 24 ms from the origin (one bucket), {2,3,4} and {5,6,7} being two
+// regions an in-region hop apart internally and a backbone hop from each
+// other.
+func TestPlanSplitsBucketByMutualDistance(t *testing.T) {
+	const near, far = 400 * time.Microsecond, 25 * time.Millisecond
+	all := []wire.SiteID{2, 3, 4, 5, 6, 7}
+	// What relay 2 reports after one release over the unsplit bucket.
+	fromRelay2 := []hopObs{{2, 3, near}, {2, 4, near}, {2, 5, far}, {2, 6, far}, {2, 7, far}}
+
+	tests := []struct {
+		name    string
+		targets []wire.SiteID
+		hops    []hopObs
+		losses  []wire.SiteID // two ObserveLoss each: below the health floor
+		acks    int           // timely ObserveAcks from relay 2
+		groups  []Group
+		direct  []wire.SiteID
+	}{
+		{
+			name:    "unknown pairs stay together",
+			targets: all,
+			groups:  []Group{{Relay: 2, Members: []wire.SiteID{3, 4, 5, 6, 7}}},
+		},
+		{
+			name:    "one far sample does not split",
+			targets: all,
+			hops:    fromRelay2,
+			groups:  []Group{{Relay: 2, Members: []wire.SiteID{3, 4, 5, 6, 7}}},
+		},
+		{
+			name:    "two far samples split and each cluster elects its lowest ID",
+			targets: all,
+			hops:    twice(fromRelay2...),
+			groups: []Group{
+				{Relay: 2, Members: []wire.SiteID{3, 4}},
+				{Relay: 5, Members: []wire.SiteID{6, 7}},
+			},
+		},
+		{
+			name:    "a near sample after a far one keeps the pair near",
+			targets: all,
+			hops:    append(twice(fromRelay2...), hopObs{2, 6, near}),
+			groups: []Group{
+				{Relay: 2, Members: []wire.SiteID{3, 4, 6}},
+				{Relay: 5, Members: []wire.SiteID{7}},
+			},
+		},
+		{
+			name:    "a near sample before far ones keeps the pair near",
+			targets: all,
+			hops:    append([]hopObs{{6, 2, near}}, twice(fromRelay2...)...),
+			groups: []Group{
+				{Relay: 2, Members: []wire.SiteID{3, 4, 6}},
+				{Relay: 5, Members: []wire.SiteID{7}},
+			},
+		},
+		{
+			name:    "a split that leaves one site sends it direct",
+			targets: []wire.SiteID{2, 3, 4, 5},
+			hops:    twice(hopObs{2, 3, near}, hopObs{2, 4, near}, hopObs{2, 5, far}),
+			groups:  []Group{{Relay: 2, Members: []wire.SiteID{3, 4}}},
+			direct:  []wire.SiteID{5},
+		},
+		{
+			name:    "a relay far from everyone goes direct and the rest regroup",
+			targets: []wire.SiteID{2, 5, 6, 7},
+			hops:    twice(hopObs{2, 5, far}, hopObs{2, 6, far}, hopObs{2, 7, far}),
+			groups:  []Group{{Relay: 5, Members: []wire.SiteID{6, 7}}},
+			direct:  []wire.SiteID{2},
+		},
+		{
+			name:    "an unhealthy site is never the relay of its sub-cluster",
+			targets: all,
+			hops:    twice(fromRelay2...),
+			losses:  []wire.SiteID{5},
+			groups: []Group{
+				{Relay: 2, Members: []wire.SiteID{3, 4}},
+				{Relay: 6, Members: []wire.SiteID{5, 7}},
+			},
+		},
+		{
+			name:    "a sub-cluster with nobody healthy degrades to direct",
+			targets: all,
+			hops:    twice(fromRelay2...),
+			losses:  []wire.SiteID{5, 6, 7},
+			groups:  []Group{{Relay: 2, Members: []wire.SiteID{3, 4}}},
+			direct:  []wire.SiteID{5, 6, 7},
+		},
+		{
+			name:    "the relay's 3rd ack leaves a far verdict standing",
+			targets: all,
+			hops:    twice(fromRelay2...),
+			acks:    3,
+			groups: []Group{
+				{Relay: 2, Members: []wire.SiteID{3, 4}},
+				{Relay: 5, Members: []wire.SiteID{6, 7}},
+			},
+		},
+		{
+			name:    "its 4th suspends it for one plan so the pair is measured again",
+			targets: all,
+			hops:    twice(fromRelay2...),
+			acks:    4,
+			groups:  []Group{{Relay: 2, Members: []wire.SiteID{3, 4, 5, 6, 7}}},
+		},
+		{
+			name:    "its 5th restores it",
+			targets: all,
+			hops:    twice(fromRelay2...),
+			acks:    5,
+			groups: []Group{
+				{Relay: 2, Members: []wire.SiteID{3, 4}},
+				{Relay: 5, Members: []wire.SiteID{6, 7}},
+			},
+		},
+		{
+			name:    "and its 8th suspends it again",
+			targets: all,
+			hops:    twice(fromRelay2...),
+			acks:    8,
+			groups:  []Group{{Relay: 2, Members: []wire.SiteID{3, 4, 5, 6, 7}}},
+		},
+		{
+			name:    "the hop threshold is the bucket width",
+			targets: []wire.SiteID{2, 3, 4},
+			hops:    twice(hopObs{2, 3, 12*time.Millisecond - time.Microsecond}, hopObs{2, 4, 12 * time.Millisecond}),
+			groups:  []Group{{Relay: 2, Members: []wire.SiteID{3}}},
+			direct:  []wire.SiteID{4},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tr := NewTracker(Config{Metrics: reg})
+			seedRTT(tr, 24*time.Millisecond, all...)
+			for _, h := range tt.hops {
+				tr.ObserveHop(h.relay, h.member, h.hop)
+			}
+			for _, s := range tt.losses {
+				tr.ObserveLoss(s)
+				tr.ObserveLoss(s)
+			}
+			for i := 0; i < tt.acks; i++ {
+				tr.ObserveAck(2, 50*time.Millisecond)
+			}
+			want := Plan{Groups: tt.groups, Direct: tt.direct}
+			// Same observations, same plan, every time.
+			for i := 0; i < 100; i++ {
+				if got := tr.Plan(tt.targets); !reflect.DeepEqual(got, want) {
+					t.Fatalf("plan %d = %+v, want %+v", i, got, want)
+				}
+			}
+			if got := reg.GaugeValue(obs.GRelayBuckets); got != int64(len(tt.groups)) {
+				t.Errorf("bucket gauge = %d, want %d (groups planned)", got, len(tt.groups))
+			}
+		})
+	}
+}
+
+// TestObserveHopIgnoresNonDistances: a relay's hop to itself (the zero its
+// ack carries for its own entry) and a negative duration are not samples.
+func TestObserveHopIgnoresNonDistances(t *testing.T) {
+	tr := NewTracker(Config{})
+	seedRTT(tr, 24*time.Millisecond, 2, 3)
+	for i := 0; i < 2; i++ {
+		tr.ObserveHop(2, 2, time.Second)
+		tr.ObserveHop(2, 3, -time.Second)
+	}
+	tr.ObserveHop(2, 3, time.Second) // the pair's only real sample
+	plan := tr.Plan([]wire.SiteID{2, 3})
+	if len(plan.Groups) != 1 || plan.Groups[0].Relay != 2 {
+		t.Fatalf("plan = %+v, want 2 relaying to 3 (one far sample so far)", plan)
 	}
 }

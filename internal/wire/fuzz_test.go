@@ -36,9 +36,9 @@ func fuzzSeeds() [][]byte {
 					Ops: []PatchOp{{Off: 0, Data: []byte{9, 9}}, {Off: 6, Data: []byte{1}}}},
 				{Name: "whole", Full: true, Data: []byte{5, 6, 7}},
 			}},
-		// Both RelayPush forms and the need-full RelayAck: their optional
-		// trailing fields are the only ones the decoder sizes by what is
-		// left in the frame.
+		// Both forms of RelayPush and of RelayAck: the form marker sits in a
+		// count slot, and the acked form's hop list must pair up with its
+		// site set (here across two set words).
 		&RelayPush{Lock: 7, Origin: 1, Version: 42, Targets: NewSiteSet(3, 4),
 			Replicas: []ReplicaPayload{{Name: "table", Data: []byte{1, 2, 3, 4}}}},
 		&RelayPush{Lock: 7, Origin: 1, Version: 42, Targets: NewSiteSet(3, 4),
@@ -47,7 +47,8 @@ func fuzzSeeds() [][]byte {
 					Ops: []PatchOp{{Off: 0, Data: []byte{9, 9}}, {Off: 6, Data: []byte{1}}}},
 				{Name: "whole", Full: true, Data: []byte{5, 6, 7}},
 			}},
-		&RelayAck{Lock: 7, Relay: 3, Version: 42, Acked: NewSiteSet(3, 4)},
+		&RelayAck{Lock: 7, Relay: 3, Version: 42, Acked: NewSiteSet(3, 4), HopMicros: []uint32{0, 412}},
+		&RelayAck{Lock: 7, Relay: 3, Version: 42, Acked: NewSiteSet(3, 6, 70), HopMicros: []uint32{0, 24_100, 0xFFFFFFFF}},
 		&RelayAck{Lock: 7, Relay: 3, Version: 42, NeedFull: true},
 		&LockNack{Lock: 7, Code: NackNotHome, Home: 4, HomeEpoch: 3, Reason: "moved"},
 		&WALRecord{Op: WALDelta, Lock: 7, FromVersion: 41, Version: 42, Dirty: true,

@@ -1,5 +1,7 @@
 package wire
 
+import "errors"
+
 // This file defines the dissemination relay-tree messages. At release time
 // a holder with many wide-area sharers no longer pushes one PushUpdate per
 // site: the locality overlay (internal/overlay) buckets sharers by
@@ -13,10 +15,10 @@ package wire
 // relayFormMarker, in a frame's 16-bit count slot, selects the frame's
 // second form: the delta form of a RelayPush (in the payload-count slot)
 // and the need-full form of a RelayAck (in the site-set word-count slot).
-// No real frame counts that high, so every frame a relay tree sent before
-// the second forms existed keeps its exact encoding, and — unlike an
-// optional trailing field — every strict prefix of either form still fails
-// to decode.
+// No real frame counts that high, so a full-form RelayPush keeps the
+// encoding it had before the second forms existed, and — unlike an optional
+// trailing field — every strict prefix of either form still fails to
+// decode.
 const relayFormMarker = 0xFFFF
 
 // RelayPush asks a bucket relay to apply a new replica version and re-fan
@@ -89,17 +91,25 @@ func (m *RelayPush) encodedSize() int {
 // set of sites — the relay itself plus every re-fanned member whose
 // PushAck arrived — that confirmed application of Version. The origin
 // counts Acked into the up-to-date set and direct-pushes any member the
-// relay could not reach. NeedFull answers a delta-form RelayPush the relay
-// could not apply (no base, checksum mismatch): nothing was applied or
-// re-fanned, so there is no Acked set to send, and the origin re-sends the
-// full form.
+// relay could not reach. HopMicros runs parallel to Acked.Sites(): the
+// push round trip, in microseconds, the relay measured to that member (0
+// for the relay itself) — the relay-to-member distance the origin's overlay
+// clusters on and cannot measure from where it stands. NeedFull answers a
+// delta-form RelayPush the relay could not apply (no base, checksum
+// mismatch): nothing was applied or re-fanned, so there is no Acked set and
+// no hop to send, and the origin re-sends the full form.
 type RelayAck struct {
-	Lock     LockID
-	Relay    SiteID
-	Version  uint64
-	Acked    SiteSet
-	NeedFull bool
+	Lock      LockID
+	Relay     SiteID
+	Version   uint64
+	Acked     SiteSet
+	HopMicros []uint32
+	NeedFull  bool
 }
+
+// errRelayHops rejects an acked-form RelayAck whose hop list does not pair
+// up with its Acked set.
+var errRelayHops = errors.New("wire: relay ack hop count does not match its acked set")
 
 // Kind implements Payload.
 func (*RelayAck) Kind() Kind { return KindRelayAck }
@@ -113,16 +123,28 @@ func (m *RelayAck) encode(w *Writer) {
 		return
 	}
 	m.Acked.encode(w)
+	w.U16(uint16(len(m.HopMicros)))
+	for _, us := range m.HopMicros {
+		w.U32(us)
+	}
 }
 
 func (m *RelayAck) decode(r *Reader) error {
 	m.Lock = LockID(r.U32())
 	m.Relay = SiteID(r.U32())
 	m.Version = r.U64()
-	if n := r.U16(); n == relayFormMarker {
+	n := r.U16()
+	if n == relayFormMarker {
 		m.NeedFull = true
-	} else {
-		m.Acked = decodeSiteSetN(r, int(n))
+		return r.Err()
+	}
+	m.Acked = decodeSiteSetN(r, int(n))
+	hops := int(r.U16())
+	if r.Err() == nil && hops != m.Acked.Len() {
+		return errRelayHops
+	}
+	for i := 0; i < hops; i++ {
+		m.HopMicros = append(m.HopMicros, r.U32())
 	}
 	return r.Err()
 }
@@ -131,5 +153,5 @@ func (m *RelayAck) encodedSize() int {
 	if m.NeedFull {
 		return 4 + 4 + 8 + 2
 	}
-	return 4 + 4 + 8 + m.Acked.encodedSize()
+	return 4 + 4 + 8 + m.Acked.encodedSize() + 2 + 4*len(m.HopMicros)
 }

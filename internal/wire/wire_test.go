@@ -52,7 +52,7 @@ func allMessages() []Payload {
 		}},
 		&DeltaNack{Lock: 7, Site: 5, Version: 44, RequestID: 99, Push: false, Reason: "base version 41 unavailable"},
 		&RelayPush{Lock: 7, Origin: 1, Version: 44, Replicas: []ReplicaPayload{{Name: "a", Data: []byte("payload")}}, Targets: NewSiteSet(3, 4, 70)},
-		&RelayAck{Lock: 7, Relay: 3, Version: 44, Acked: NewSiteSet(3, 4)},
+		&RelayAck{Lock: 7, Relay: 3, Version: 44, Acked: NewSiteSet(3, 4), HopMicros: []uint32{0, 412}},
 		relayPushDeltaForm(),
 		&RelayAck{Lock: 7, Relay: 3, Version: 44, NeedFull: true},
 		&HomeHint{Lock: 7, Home: 4, Epoch: 6},
@@ -174,7 +174,7 @@ func TestEncodedSizeHintExact(t *testing.T) {
 				{Name: "patched", NewLen: uint32(len(big)), Checksum: 9, Ops: []PatchOp{{Off: 100, Data: big[:4096]}}},
 				{Name: "full", Full: true, Data: big},
 			}},
-		&RelayAck{Lock: 1, Relay: 3, Version: 3, Acked: NewSiteSet(3, 4, 200)},
+		&RelayAck{Lock: 1, Relay: 3, Version: 3, Acked: NewSiteSet(3, 4, 200), HopMicros: []uint32{0, 300, 24_100}},
 		&RelayAck{Lock: 1, Relay: 3, Version: 3, NeedFull: true},
 	}
 	for _, p := range frames {
@@ -195,11 +195,13 @@ func TestEncodedSizeHintExact(t *testing.T) {
 	}
 }
 
-// TestRelayFramesKeepParentEncoding pins the compatibility rule of the
-// delta-native relay frames: the delta form of RelayPush and the need-full
-// form of RelayAck are selected by a marker no real count reaches, so a
-// relay tree running without delta transfer puts exactly the bytes on the
-// wire it did before those forms existed.
+// TestRelayFramesKeepParentEncoding pins the relay frames' layouts. A
+// full-form RelayPush — what a relay tree running without delta transfer
+// sends — puts exactly the bytes on the wire it did before the delta form
+// existed: that form is selected by a marker no real count reaches. A
+// RelayAck carries one hop per acked site behind the set, counted, so a
+// frame whose hops do not pair up with its set is refused; its need-full
+// form stops at the marker.
 func TestRelayFramesKeepParentEncoding(t *testing.T) {
 	push := &RelayPush{Lock: 7, Origin: 1, Version: 44, Replicas: []ReplicaPayload{{Name: "a", Data: []byte("payload")}}, Targets: NewSiteSet(3, 4, 70)}
 	w := NewWriter(64)
@@ -218,24 +220,41 @@ func TestRelayFramesKeepParentEncoding(t *testing.T) {
 		t.Fatalf("RelayPush without a delta wrote delta-form fields: %x", got)
 	}
 
-	ack := &RelayAck{Lock: 7, Relay: 3, Version: 44, Acked: NewSiteSet(3, 4)}
-	w = NewWriter(64)
-	w.U8(uint8(KindRelayAck))
-	w.U32(7)
-	w.U32(3)
-	w.U64(44)
-	ack.Acked.encode(w)
-	if got := Marshal(ack); !reflect.DeepEqual(got, w.Bytes()) {
-		t.Fatalf("RelayAck encoding changed:\n got %x\nwant %x", got, w.Bytes())
+	ack := &RelayAck{Lock: 7, Relay: 3, Version: 44, Acked: NewSiteSet(3, 4), HopMicros: []uint32{0, 412}}
+	ackFrame := func(hops ...uint32) []byte {
+		w := NewWriter(64)
+		w.U8(uint8(KindRelayAck))
+		w.U32(7)
+		w.U32(3)
+		w.U64(44)
+		ack.Acked.encode(w)
+		w.U16(uint16(len(hops)))
+		for _, us := range hops {
+			w.U32(us)
+		}
+		return w.Bytes()
 	}
-	// A need-full ack acks nobody: the set is not sent.
+	if got, want := Marshal(ack), ackFrame(0, 412); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RelayAck encoding changed:\n got %x\nwant %x", got, want)
+	}
+	// One hop per acked site, no fewer and no more.
+	for _, hops := range [][]uint32{nil, {412}, {0, 412, 9}} {
+		if _, err := Unmarshal(ackFrame(hops...)); err == nil {
+			t.Errorf("RelayAck acking 2 sites with %d hops decoded without error", len(hops))
+		}
+	}
+	// A need-full ack acks nobody: neither the set nor hops are sent.
 	ack.NeedFull = true
-	got, err := Unmarshal(Marshal(ack))
+	b := Marshal(ack)
+	if want := 1 + 4 + 4 + 8 + 2; len(b) != want {
+		t.Fatalf("need-full RelayAck is %d bytes, want %d", len(b), want)
+	}
+	got, err := Unmarshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back := got.(*RelayAck); !back.NeedFull || back.Acked.Len() != 0 {
-		t.Fatalf("need-full RelayAck round trip = %+v, want the flag and an empty set", back)
+	if back := got.(*RelayAck); !back.NeedFull || back.Acked.Len() != 0 || len(back.HopMicros) != 0 {
+		t.Fatalf("need-full RelayAck round trip = %+v, want the flag, an empty set and no hops", back)
 	}
 }
 
