@@ -17,9 +17,12 @@ import (
 // TestSurfaceCensus keeps the switch and artifact surface from regrowing
 // unnoticed: every checked-in BENCH_*.json must be the output of a
 // registered experiment (benchmocha -json strips the "ablate-" prefix),
-// every `-exp <id>` the Makefile runs must be registered, and the three
-// layer configs may not gain a field without this test being edited in the
-// same change — which is where the new field's second caller gets named.
+// every `-exp <id>` the Makefile runs must be registered, the three layer
+// configs may not gain a field without this test being edited in the same
+// change — which is where the new field's second caller gets named — and
+// the transfer path's three files each stay small enough to read: three
+// perf PRs in a row grew core/transfer.go because it was the only place
+// there was.
 func TestSurfaceCensus(t *testing.T) {
 	registered := make(map[string]bool)
 	artifacts := make(map[string]bool)
@@ -59,12 +62,23 @@ func TestSurfaceCensus(t *testing.T) {
 		typ  reflect.Type
 		max  int
 	}{
-		{"core.Config", reflect.TypeOf(core.Config{}), 28},
+		{"core.Config", reflect.TypeOf(core.Config{}), 25},
 		{"mnet.Config", reflect.TypeOf(mnet.Config{}), 8},
 		{"overlay.Config", reflect.TypeOf(overlay.Config{}), 5},
 	} {
 		if n := c.typ.NumField(); n > c.max {
 			t.Errorf("%s has %d fields, census allows %d: a new option needs two non-test callers that set it differently", c.name, n, c.max)
+		}
+	}
+
+	const maxLines = 600
+	for _, name := range []string{"transfer.go", "carrier.go", "disseminate.go"} {
+		src, err := os.ReadFile(filepath.Join("internal", "core", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(src), "\n"); n > maxLines {
+			t.Errorf("internal/core/%s has %d lines, census allows %d: planner, ladder and carrier each keep to their own file", name, n, maxLines)
 		}
 	}
 }

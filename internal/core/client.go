@@ -6,42 +6,23 @@ import (
 	"sync"
 
 	"mocha/internal/mnet"
-	"mocha/internal/obs"
 	"mocha/internal/wire"
 )
 
 // client owns the node's client port: it sends application-thread requests
-// to the synchronization thread and routes grants, nacks, and
-// dissemination acks back to the waiting threads.
+// to the synchronization thread and routes grants and nacks back to the
+// waiting threads.
 type client struct {
 	node *Node
 	port *mnet.Port
 
-	mu       sync.Mutex
-	grants   map[grantKey]chan grantOrNack
-	pushAcks map[pushKey]chan pushResult
-}
-
-// pushResult is what a waiting push sender learns about one target:
-// either the update was applied, or the target needs a full copy because
-// it could not use the offered delta.
-type pushResult struct {
-	needFull bool
+	mu     sync.Mutex
+	grants map[grantKey]chan grantOrNack
 }
 
 type grantKey struct {
 	lock   wire.LockID
 	thread wire.ThreadID
-}
-
-// pushKey identifies one awaited dissemination acknowledgment. Keying by
-// site (not just lock and version) lets concurrent pushes of the same
-// version to different sites each wait on their own channel; a shared
-// channel would misroute acks between the parallel senders.
-type pushKey struct {
-	lock    wire.LockID
-	version uint64
-	site    wire.SiteID
 }
 
 // grantOrNack is the client port's delivery to a waiting Lock call.
@@ -56,10 +37,9 @@ func newClient(n *Node) (*client, error) {
 		return nil, err
 	}
 	c := &client{
-		node:     n,
-		port:     port,
-		grants:   make(map[grantKey]chan grantOrNack),
-		pushAcks: make(map[pushKey]chan pushResult),
+		node:   n,
+		port:   port,
+		grants: make(map[grantKey]chan grantOrNack),
 	}
 	port.SetHandler(c.handle)
 	return c, nil
@@ -115,9 +95,6 @@ func (c *client) handle(m mnet.Message) {
 			default:
 			}
 		}
-	case *wire.PushAck:
-		c.node.obs().Inc(obs.CPushAcks)
-		c.deliverPushResult(msg.Lock, msg.Version, msg.Site, pushResult{})
 	default:
 		if c.node.log.On() {
 			c.node.log.Logf("client", "unhandled %s on client port", p.Kind())
@@ -139,38 +116,6 @@ func (c *client) expectGrant(lock wire.LockID, thread wire.ThreadID) chan grantO
 func (c *client) dropGrant(lock wire.LockID, thread wire.ThreadID) {
 	c.mu.Lock()
 	delete(c.grants, grantKey{lock, thread})
-	c.mu.Unlock()
-}
-
-// expectPushAck registers interest in one site's acknowledgment of one
-// disseminated version. Each waiter owns its channel, so no ack is ever
-// consumed by the wrong sender.
-func (c *client) expectPushAck(lock wire.LockID, version uint64, site wire.SiteID) chan pushResult {
-	ch := make(chan pushResult, 1)
-	c.mu.Lock()
-	c.pushAcks[pushKey{lock, version, site}] = ch
-	c.mu.Unlock()
-	return ch
-}
-
-// deliverPushResult hands one target's response (applied, or needs the
-// full copy) to the sender waiting on it, if any.
-func (c *client) deliverPushResult(lock wire.LockID, version uint64, site wire.SiteID, res pushResult) {
-	c.mu.Lock()
-	ch := c.pushAcks[pushKey{lock, version, site}]
-	c.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- res:
-		default:
-		}
-	}
-}
-
-// dropPushAck unregisters a waiter.
-func (c *client) dropPushAck(lock wire.LockID, version uint64, site wire.SiteID) {
-	c.mu.Lock()
-	delete(c.pushAcks, pushKey{lock, version, site})
 	c.mu.Unlock()
 }
 

@@ -33,18 +33,13 @@ type clusterOpts struct {
 	reuse   bool
 	fanout  int
 	xferTO  time.Duration
-	// delta enables delta replica transfer; deltaDepth overrides the
-	// update-log depth (0 = default).
-	delta      bool
-	deltaDepth int
+	// delta enables delta replica transfer.
+	delta bool
 	// wrapStack lets fault tests interpose on a site's transport stack.
 	wrapStack func(site wire.SiteID, s transport.Stack) transport.Stack
 	// wrapDatagram lets fault tests interpose on the packets a site's mnet
 	// endpoint sends (in-flight corruption).
 	wrapDatagram func(site wire.SiteID, d transport.Datagram) transport.Datagram
-	// syncShards overrides the synchronization thread's shard count
-	// (0 = default).
-	syncShards int
 	// faultHooks installs a per-site FaultHook (missing sites get none).
 	faultHooks map[wire.SiteID]FaultHook
 	// tree enables locality-aware dissemination; treeMin overrides the
@@ -116,11 +111,9 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 			Mode:                opts.mode,
 			StreamReuse:         opts.reuse,
 			DeltaTransfer:       opts.delta,
-			DeltaLogDepth:       opts.deltaDepth,
 			DisseminationFanout: opts.fanout,
 			DisseminationTree:   opts.tree,
 			TreeMinSharers:      opts.treeMin,
-			SyncShards:          opts.syncShards,
 			Metrics:             opts.metrics,
 			FaultHook:           opts.faultHooks[site],
 			RequestTimeout:      opts.reqTO,

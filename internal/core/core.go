@@ -71,6 +71,11 @@ const (
 // adaptiveThreshold is the ModeAdaptive cutover size in bytes.
 const adaptiveThreshold = 2048
 
+// deltaLogDepth bounds how many consecutive version steps the per-lock
+// update log retains for delta composition. Requesters more than this many
+// versions behind get a full transfer.
+const deltaLogDepth = 8
+
 // String names the mode as the paper does.
 func (m TransferMode) String() string {
 	switch m {
@@ -101,15 +106,12 @@ type Config struct {
 	// IsHome starts the synchronization thread on this node.
 	IsHome bool
 	// HomePlacement replaces the fixed home site with a consistent-hash
-	// ring over ManagerSites: every manager runs a synchronization thread
-	// for its slice of the lock namespace, lock homes migrate toward
+	// ring over every site in the directory: each runs a synchronization
+	// thread for its slice of the lock namespace, lock homes migrate toward
 	// observed access locality, and each home streams record deltas to
 	// its ring successor for standby failover. Off by default — the
 	// paper's fixed-home baseline.
 	HomePlacement bool
-	// ManagerSites lists the ring members when HomePlacement is on.
-	// Empty means every site in the directory.
-	ManagerSites []wire.SiteID
 	// Codec marshals replica content; all sites must agree.
 	Codec marshal.Codec
 	// Cost is the execution-cost model for stream operations (MNet costs
@@ -129,10 +131,6 @@ type Config struct {
 	// copy. Off by default: the paper's prototypes always transfer the
 	// whole marshaled replica.
 	DeltaTransfer bool
-	// DeltaLogDepth bounds how many consecutive version steps the per-lock
-	// update log retains for delta composition (default 8). Requesters more
-	// than this many versions behind get a full transfer.
-	DeltaLogDepth int
 	// DisseminationFanout bounds how many push transfers run concurrently
 	// when a release (or PushPayloads) disseminates a new version to
 	// several sites. 0 (the default) runs all targets in parallel,
@@ -152,12 +150,6 @@ type Config struct {
 	// keeps the flat fan-out (default 8): with few targets a relay hop
 	// only adds latency.
 	TreeMinSharers int
-	// SyncShards is the number of independent shards the synchronization
-	// thread's lock table is split across (default 32). Locks hash to a
-	// shard by ID; traffic on one lock never waits on another lock's
-	// shard, and network I/O (grants, transfer directives, polls,
-	// heartbeats) never runs under any shard or lock mutex.
-	SyncShards int
 	// RequestTimeout bounds control-message sends (default 5s).
 	RequestTimeout time.Duration
 	// TransferTimeout bounds replica data transfers (default 60s).
@@ -210,14 +202,8 @@ func (c Config) withDefaults() Config {
 	if c.Mode == 0 {
 		c.Mode = ModeMNet
 	}
-	if c.DeltaLogDepth <= 0 {
-		c.DeltaLogDepth = 8
-	}
 	if c.TreeMinSharers <= 0 {
 		c.TreeMinSharers = 8
-	}
-	if c.SyncShards <= 0 {
-		c.SyncShards = 32
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -238,17 +224,13 @@ func (c Config) withDefaults() Config {
 }
 
 // fanoutBound returns the effective dissemination concurrency for n
-// targets: at least 1, at most n, honoring DisseminationFanout (0 means
-// fully parallel).
-func (c Config) fanoutBound(n int) int {
-	b := c.DisseminationFanout
-	if b <= 0 || b > n {
-		b = n
+// targets: at least 1, at most n, honoring Config.DisseminationFanout (0
+// means fully parallel).
+func fanoutBound(fanout, n int) int {
+	if fanout <= 0 || fanout > n {
+		fanout = n
 	}
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return max(fanout, 1)
 }
 
 // Core errors.
@@ -353,11 +335,9 @@ func NewNode(cfg Config) (*Node, error) {
 		cached:     make(map[string]*Replica),
 	}
 	if cfg.HomePlacement {
-		members := cfg.ManagerSites
-		if len(members) == 0 {
-			for site := range cfg.Directory {
-				members = append(members, site)
-			}
+		members := make([]wire.SiteID, 0, len(cfg.Directory))
+		for site := range cfg.Directory {
+			members = append(members, site)
 		}
 		n.ring = placement.New(members, placement.DefaultVirtualNodes)
 		n.homeOverrides = make(map[wire.LockID]homeOverride)
@@ -635,7 +615,7 @@ func (n *Node) getLockLocal(id wire.LockID) *lockLocal {
 	if !ok {
 		depth := 0
 		if n.cfg.DeltaTransfer {
-			depth = n.cfg.DeltaLogDepth
+			depth = deltaLogDepth
 		}
 		st = newLockLocal(id, depth)
 		n.lockLocals[id] = st

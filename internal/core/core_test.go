@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mocha/internal/marshal"
+	"mocha/internal/obs"
 	"mocha/internal/wire"
 )
 
@@ -470,7 +471,9 @@ func TestHybridModeEndToEnd(t *testing.T) {
 }
 
 func TestCachedReplicas(t *testing.T) {
-	tc := newTestCluster(t, 3, defaultOpts())
+	opts := defaultOpts()
+	opts.metrics = obs.NewRegistry()
+	tc := newTestCluster(t, 3, opts)
 	ctx := tctx(t)
 
 	// "The graphical images are also shared as replicas but are not
@@ -516,6 +519,12 @@ func TestCachedReplicas(t *testing.T) {
 				readCached(subs[0]), readCached(subs[1]))
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	// Nobody waits on a cached publish, so no site may answer it: an ack
+	// would follow the apply by one zero-delay hop.
+	settle()
+	if got := opts.metrics.CounterValue(obs.CPushAcks); got != 0 {
+		t.Fatalf("cached publish drew %d push acks, want 0", got)
 	}
 }
 

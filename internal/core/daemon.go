@@ -56,17 +56,8 @@ func (d *daemon) handle(m mnet.Message) {
 				d.node.log.Logf("daemon", "transfer of lock %d to site %d refused: %v", msg.Lock, msg.Dest, err)
 			}
 		}
-	case *wire.ReplicaData:
-		d.node.applyReplicaData(msg)
-	case *wire.ReplicaDelta:
-		// Delta transfers arrive on the daemon port like full ReplicaData.
-		d.node.handleDeltaArrival(msg, m.From, d.port)
 	case *wire.DeltaNack:
 		d.node.xfer.handleDeltaNack(msg)
-	case *wire.PushUpdate:
-		d.node.applyPush(msg)
-		ack := &wire.PushAck{Lock: msg.Lock, Site: d.node.cfg.Site, Version: msg.Version}
-		d.replyTo(m.From, ack)
 	case *wire.PollVersion:
 		st := d.node.getLockLocal(msg.Lock)
 		st.mu.Lock()
@@ -105,7 +96,9 @@ func (d *daemon) handle(m mnet.Message) {
 				len(msg.Locks), msg.From, msg.To, msg.Epoch)
 		}
 	default:
-		if d.node.log.On() {
+		// Replica data — a directive's copy, full or delta, and cached
+		// publishes — is applied and answered by the carrier.
+		if _, handled := d.node.xfer.receive(p, d.port, m.From); !handled && d.node.log.On() {
 			d.node.log.Logf("daemon", "unhandled %s on daemon port", p.Kind())
 		}
 	}
@@ -308,41 +301,6 @@ func (n *Node) applyDelta(rd *wire.ReplicaDelta) error {
 	n.obs().Inc(obs.CApplies)
 	n.obs().Observe(obs.HApply, time.Since(applyStart))
 	return nil
-}
-
-// handleDeltaArrival applies a delta arriving over mnet and sends the
-// protocol response back through the receiving port: a PushAck when an
-// applied delta was a push, a DeltaNack when the delta could not be
-// applied. Applied (or stale) transfer deltas need no reply — the waiting
-// acquirer is woken through the version waiters, like a full transfer.
-func (n *Node) handleDeltaArrival(rd *wire.ReplicaDelta, replyTo string, port *mnet.Port) {
-	err := n.applyDelta(rd)
-	var reply wire.Payload
-	switch {
-	case err == nil && rd.Push:
-		reply = &wire.PushAck{Lock: rd.Lock, Site: n.cfg.Site, Version: rd.Version}
-	case err == nil:
-		return
-	default:
-		if n.log.On() {
-			n.log.Logf("daemon", "delta of lock %d v%d from site %d rejected: %v", rd.Lock, rd.Version, rd.From, err)
-		}
-		reply = &wire.DeltaNack{
-			Lock:      rd.Lock,
-			Site:      n.cfg.Site,
-			Version:   rd.Version,
-			RequestID: rd.RequestID,
-			Push:      rd.Push,
-			Reason:    err.Error(),
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RequestTimeout)
-	defer cancel()
-	if err := port.Send(ctx, replyTo, wire.Marshal(reply)); err != nil {
-		if n.log.On() {
-			n.log.Logf("daemon", "delta reply to %s failed: %v", replyTo, err)
-		}
-	}
 }
 
 // CachedLock is the reserved lock ID for unguarded cached replicas:

@@ -179,13 +179,14 @@ func TestDeltaDisabledBaseline(t *testing.T) {
 	}
 }
 
-// TestDeltaFallbackEvictedLog bounds the update log at depth 2 and lets a
-// site fall 5 versions behind: its next acquisition cannot be served from
-// the chain and must arrive as a full copy — with the right data.
+// TestDeltaFallbackEvictedLog lets a site fall further behind than the
+// update log reaches (deltaLogDepth steps): its next acquisition cannot be
+// served from the chain and must arrive as a full copy — with the right
+// data.
 func TestDeltaFallbackEvictedLog(t *testing.T) {
+	const behind = deltaLogDepth + 3
 	opts := defaultOpts()
 	opts.delta = true
-	opts.deltaDepth = 2
 	tc := newTestCluster(t, 2, opts)
 	ctx := tctx(t)
 
@@ -202,9 +203,9 @@ func TestDeltaFallbackEvictedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Site 1 produces 5 consecutive versions; the depth-2 log forgets the
-	// early steps.
-	for i := 0; i < 5; i++ {
+	// Site 1 produces more consecutive versions than the log holds; it
+	// forgets the early steps.
+	for i := 0; i < behind; i++ {
 		if err := rl1.Lock(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func TestDeltaFallbackEvictedLog(t *testing.T) {
 	if err := rl2.Lock(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < behind; i++ {
 		if got := r2.Content().IntsData()[i]; got != int32(1000+i) {
 			t.Fatalf("site 2 index %d = %d, want %d", i, got, 1000+i)
 		}

@@ -18,6 +18,13 @@ type syncShard struct {
 	locks map[wire.LockID]*syncLock
 }
 
+// syncShards is the number of independent shards the synchronization
+// thread's lock table is split across. Locks hash to a shard by ID; traffic
+// on one lock never waits on another lock's shard, and network I/O (grants,
+// transfer directives, polls, heartbeats) never runs under any shard or lock
+// mutex.
+const syncShards = 32
+
 // newShards allocates an n-way sharded lock table.
 func newShards(n int) []*syncShard {
 	if n < 1 {

@@ -216,28 +216,31 @@ func TestStressShardedSync(t *testing.T) {
 		locks      = 6
 		increments = 5
 	)
-	opts := defaultOpts()
-	opts.syncShards = 4 // force cross-shard collisions
-	tc := newTestCluster(t, 4, opts)
+	// Lock IDs chosen to collide: the six counters land on four shards
+	// (two pairs share one), and the lock that gets broken shares a shard
+	// with a counter under load.
+	lockID := func(l int) wire.LockID { return wire.LockID(50 + l%4 + syncShards*(l/4)) }
+	const breakLock = wire.LockID(52 + 2*syncShards)
+	tc := newTestCluster(t, 4, defaultOpts())
 	ctx := tctx(t)
 
 	h1 := tc.node(1).NewHandle("creator")
 	creatorLocks := make([]*ReplicaLock, locks)
 	for l := 0; l < locks; l++ {
-		rl, _ := mustCreate(t, h1, wire.LockID(50+l), fmt.Sprintf("sctr%d", l), []int32{0}, 3)
+		rl, _ := mustCreate(t, h1, lockID(l), fmt.Sprintf("sctr%d", l), []int32{0}, 3)
 		creatorLocks[l] = rl
 	}
-	// Lock 60 will be held by site 4 when it dies.
-	_, _ = mustCreate(t, h1, 60, "breakme", []int32{0}, 2)
+	// breakLock will be held by site 4 when it dies.
+	_, _ = mustCreate(t, h1, breakLock, "breakme", []int32{0}, 2)
 	h4 := tc.node(4).NewHandle("doomed")
 	h4.SetLease(150 * time.Millisecond)
-	rl4, _ := mustAttach(t, h4, 60, "breakme")
+	rl4, _ := mustAttach(t, h4, breakLock, "breakme")
 	settle()
 
 	if err := rl4.Lock(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tc.kill(4) // dies holding lock 60
+	tc.kill(4) // dies holding breakLock
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers*locks+1)
@@ -250,7 +253,7 @@ func TestStressShardedSync(t *testing.T) {
 				defer wg.Done()
 				h := tc.node(site).NewHandle(fmt.Sprintf("sw%d-%d", site, l))
 				var r *Replica
-				rl := h.ReplicaLock(wire.LockID(50 + l))
+				rl := h.ReplicaLock(lockID(l))
 				if site == 1 {
 					r = creatorLocks[l].Replicas()[0]
 				} else {
@@ -280,7 +283,7 @@ func TestStressShardedSync(t *testing.T) {
 			}()
 		}
 	}
-	// Concurrently, site 2 waits out the lease break of lock 60.
+	// Concurrently, site 2 waits out the lease break of breakLock.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -290,7 +293,7 @@ func TestStressShardedSync(t *testing.T) {
 			errCh <- err
 			return
 		}
-		rl := h.ReplicaLock(60)
+		rl := h.ReplicaLock(breakLock)
 		if err := rl.Associate(ctx, r); err != nil {
 			errCh <- err
 			return
@@ -310,14 +313,14 @@ func TestStressShardedSync(t *testing.T) {
 	}
 
 	if !tc.node(1).Sync().Banned(h4.ID()) {
-		t.Fatal("dead holder of lock 60 was not banned")
+		t.Fatal("dead holder of the broken lock was not banned")
 	}
 	for l, rl := range creatorLocks {
 		if err := rl.Lock(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if got := rl.Replicas()[0].Content().IntsData()[0]; got != workers*increments {
-			t.Fatalf("lock %d: final = %d, want %d", 50+l, got, workers*increments)
+			t.Fatalf("lock %d: final = %d, want %d", lockID(l), got, workers*increments)
 		}
 		if err := rl.Unlock(ctx); err != nil {
 			t.Fatal(err)

@@ -206,7 +206,7 @@ func newSyncThread(n *Node, restore *SyncState) (*syncThread, error) {
 		port:        port,
 		aux:         aux,
 		epoch:       1,
-		shards:      newShards(n.cfg.SyncShards),
+		shards:      newShards(syncShards),
 		banned:      make(map[wire.ThreadID]banRecord),
 		pollWaiters: make(map[uint64]chan *wire.PollVersionReply),
 		stopCh:      make(chan struct{}),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,8 +90,6 @@ func TestHybridFallsBackToMNet(t *testing.T) {
 	h2 := tc.node(2).NewHandle("b")
 	rl2, r2 := mustAttach(t, h2, 5, "v")
 	settle()
-	_ = rl1
-	_ = r1
 
 	// The stream path is dead; the transfer must still complete over MNet.
 	if err := rl2.Lock(ctx); err != nil {
@@ -104,6 +103,35 @@ func TestHybridFallsBackToMNet(t *testing.T) {
 	}
 	if tc.node(1).Log().CountCategory("fault") == 0 {
 		t.Fatal("fallback not logged as a fault event")
+	}
+
+	// A push shares the directive's fallback: a UR = 2 release from site 2
+	// must still reach the other sharer over MNet.
+	fellBack := func(n *Node) (count int) {
+		for _, ev := range n.Log().Events() {
+			if ev.Category == "fault" && strings.Contains(ev.Render(), "falling back to mnet") {
+				count++
+			}
+		}
+		return count
+	}
+	before := fellBack(tc.node(2))
+	rl2.SetUpdateReplicas(2)
+	if err := rl2.Lock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	r2.Content().IntsData()[0] = 7
+	if err := rl2.Unlock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rl1.Version(), rl2.Version(); got != want {
+		t.Fatalf("sharer at version %d after a UR=2 release with a broken stream path, want %d", got, want)
+	}
+	if got := r1.Content().IntsData()[0]; got != 7 {
+		t.Fatalf("pushed value = %d, want 7", got)
+	}
+	if fellBack(tc.node(2)) == before {
+		t.Fatal("push fallback not logged as a fault event")
 	}
 }
 
