@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race transfer-order fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-load bench-tree bench-home bench-store
+.PHONY: check fmt-check vet build test race transfer-order release-order fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-load bench-tree bench-home bench-store
 
 # check is the full CI gate: formatting, static analysis, build, the
 # complete test suite, the race detector over the concurrency-heavy
 # packages, short fuzz passes over the wire and WAL-record decoders, and
 # the kill -9 crash-recovery smoke over the durable store.
-check: fmt-check vet build test race transfer-order fuzz-smoke crash-smoke
+check: fmt-check vet build test race transfer-order release-order fuzz-smoke crash-smoke
 
 # fmt-check fails if any Go file is not gofmt-clean.
 fmt-check:
@@ -40,6 +40,14 @@ race:
 # long before it shows in benchmark/.
 transfer-order:
 	$(GO) test ./internal/core -count=20 -run 'TestTransferOvertakesGrantOnSlowHomeLink$$|TestUndeliverableGrantDiscardsDirective$$|TestRevisedGrantFollowsOriginal$$|TestDeadTransferDestDoesNotStallDaemon$$|TestDirectiveSourceFixedAtGrant$$|TestDeltaFallbackEvictedLog$$'
+
+# release-order does the same for the release path: Unlock leaves the
+# home's ack to the release carriage under placement, the same lock's next
+# acquire waits for it on every rung of the ladder, a forwarded or lost
+# release is counted, Close waits the carriage out, the fixed home blocks,
+# and a version number orphaned by a lost release is never published twice.
+release-order:
+	$(GO) test ./internal/core -count=20 -run 'TestUnlockLeavesHomeAckToCarriage$$|TestReacquireWaitsOutReleaseLadder$$|TestUndeliveredReleaseIsCounted$$|TestCloseWaitsOutReleaseCarriage$$|TestForwardedReleaseRidesCarriage$$|TestDropReleaseRecoversPushedVersion$$|TestLostReleaseVersionNotReused$$'
 
 # fuzz-smoke runs the wire-decoder fuzzer briefly on top of its checked-in
 # corpus (testdata/fuzz). Long open-ended fuzzing is a background job, not

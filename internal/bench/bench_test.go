@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,15 +57,34 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9SmallScale(t *testing.T) {
-	// 1K: the basic protocol must win at the full fan-out.
-	res, err := figure(9)(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
+	// 1K: the basic protocol must win at the full fan-out. At 2% scale the
+	// margin is about a tenth and one scheduler hiccup can eat it, so the
+	// verdict is on the median of three runs, not on one.
+	var basic, hybrid []float64
+	var tables []string
+	for run := 0; run < 3; run++ {
+		res, err := figure(9)(tinyCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(res.Table), "\n")
+		row := strings.Fields(lines[len(lines)-1]) // sites, basic ms, hybrid ms, winner
+		if len(row) != 4 {
+			t.Fatalf("cannot read the last row:\n%s", res.Table)
+		}
+		b, errB := strconv.ParseFloat(row[1], 64)
+		h, errH := strconv.ParseFloat(row[2], 64)
+		if errB != nil || errH != nil {
+			t.Fatalf("cannot read the last row:\n%s", res.Table)
+		}
+		basic, hybrid = append(basic, b), append(hybrid, h)
+		tables = append(tables, res.Table)
 	}
-	lines := strings.Split(strings.TrimSpace(res.Table), "\n")
-	last := lines[len(lines)-1]
-	if !strings.HasSuffix(strings.TrimSpace(last), "basic") {
-		t.Fatalf("1K LAN winner at max sites should be basic:\n%s", res.Table)
+	sort.Float64s(basic)
+	sort.Float64s(hybrid)
+	if basic[1] >= hybrid[1] {
+		t.Fatalf("1K LAN at max sites: median basic %.3g ms is not under median hybrid %.3g ms:\n%s",
+			basic[1], hybrid[1], strings.Join(tables, "\n"))
 	}
 }
 

@@ -354,6 +354,12 @@ func (e *explorer) hook(fc core.FaultContext) core.FaultDecision {
 		// Stall a home migration's record send past the request timeout:
 		// the old home must either unfreeze or commit with insurance.
 		d.Delay = e.plan.delay
+	case core.FPDropRelease:
+		// The releaser's site dies with the pushes out and the release
+		// still in its carriage — under placement, after Unlock returned.
+		// Only when the site can really go: a live site answers the lease
+		// probe, and a hold whose release was dropped would never break.
+		d.Drop = e.killLocked(fc.Site)
 	}
 	e.mu.Unlock()
 	return d

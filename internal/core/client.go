@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"mocha/internal/mnet"
+	"mocha/internal/obs"
 	"mocha/internal/wire"
 )
 
@@ -18,6 +20,10 @@ type client struct {
 
 	mu     sync.Mutex
 	grants map[grantKey]chan grantOrNack
+
+	// carriage tracks the goroutines carrying RELEASELOCKs to their homes
+	// (see carryRelease).
+	carriage *carriage
 }
 
 type grantKey struct {
@@ -37,9 +43,10 @@ func newClient(n *Node) (*client, error) {
 		return nil, err
 	}
 	c := &client{
-		node:   n,
-		port:   port,
-		grants: make(map[grantKey]chan grantOrNack),
+		node:     n,
+		port:     port,
+		grants:   make(map[grantKey]chan grantOrNack),
+		carriage: newCarriage(),
 	}
 	port.SetHandler(c.handle)
 	return c, nil
@@ -84,7 +91,7 @@ func (c *client) handle(m mnet.Message) {
 		if c.node.log.On() {
 			c.node.log.Logf("client", "returning unwanted grant of lock %d for thread %d", msg.Lock, msg.Thread)
 		}
-		go c.autoRelease(msg)
+		c.autoRelease(msg)
 	case *wire.LockNack:
 		c.mu.Lock()
 		ch := c.grants[grantKey{msg.Lock, msg.Thread}]
@@ -121,21 +128,64 @@ func (c *client) dropGrant(lock wire.LockID, thread wire.ThreadID) {
 
 // autoRelease hands back a grant nobody is waiting for.
 func (c *client) autoRelease(g *wire.Grant) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.node.cfg.RequestTimeout)
-	defer cancel()
-	rel := &wire.ReleaseLock{
+	c.carryRelease(&wire.ReleaseLock{
 		Lock:       g.Lock,
 		Releaser:   c.node.cfg.Site,
 		Thread:     g.Thread,
 		NewVersion: g.Version,
 		Shared:     g.Shared,
 		Aborted:    true,
-	}
-	if err := c.sendToSync(ctx, rel); err != nil {
-		if c.node.log.On() {
-			c.node.log.Logf("client", "auto-release of lock %d failed: %v", g.Lock, err)
+	}, nil, nil)
+}
+
+// carryRelease hands one RELEASELOCK to the release carriage and returns
+// at once: a tracked goroutine runs first (when given — a forwarding home's
+// re-ship insurance, which must reach the new home ahead of the release),
+// sends the release up the sendToSync ladder (home, re-resolved route,
+// standby), tallies the outcome, and then calls settle with it (when given
+// — the releaser's commit-and-reopen-the-gate step). The ladder runs on the
+// client's own context, not the caller's: a release whose Unlock has already
+// returned must not die with that call's deadline. The returned channel
+// delivers the same outcome to a caller that chooses to wait for it; every
+// RELEASELOCK this site sends leaves through here. Once Node.Close has
+// closed the carriage a release is failed without being sent.
+func (c *client) carryRelease(rel *wire.ReleaseLock, first func(), settle func(error)) <-chan error {
+	done := make(chan error, 1)
+	finish := func(err error) {
+		if err != nil {
+			c.node.obs().Inc(obs.CReleaseFailures)
+			if c.node.log.On() {
+				c.node.log.Logf("fault", "release of lock %d by thread %d not delivered: %v", rel.Lock, rel.Thread, err)
+			}
 		}
+		if settle != nil {
+			settle(err)
+		}
+		done <- err
 	}
+	if !c.carriage.begin() {
+		finish(ErrClosed)
+		return done
+	}
+	go func() {
+		defer c.carriage.done()
+		if first != nil {
+			first()
+		}
+		if c.node.fireFault(FaultContext{
+			Point: FPDropRelease, Lock: rel.Lock, Thread: rel.Thread, Version: rel.NewVersion,
+		}).Drop {
+			finish(fmt.Errorf("fault injected at %s", FPDropRelease))
+			return
+		}
+		start := time.Now()
+		err := c.sendToSync(c.carriage.ctx, rel)
+		if err == nil {
+			c.node.obs().Observe(obs.HReleaseAck, time.Since(start))
+		}
+		finish(err)
+	}()
+	return done
 }
 
 // sendToSync delivers a control message to the synchronization thread,
@@ -226,7 +276,12 @@ func (c *client) sendToHome(ctx context.Context, p wire.Payload, lock wire.LockI
 			return ctx.Err()
 		}
 	}
-	if succ := c.node.ring.Successor(home); succ != 0 && succ != home {
+	// This site's own manager is no fallback: had it promoted the lock it
+	// would have taught the local router first (promoteFrom) and been the
+	// re-resolved route above; until then it answers for a lock it does not
+	// home — and a release it forwards (forwardReleaseIfMoved) would come
+	// straight back to it.
+	if succ := c.node.ring.Successor(home); succ != 0 && succ != home && succ != c.node.cfg.Site {
 		if c.node.log.On() {
 			c.node.log.Logf("client", "retrying %s for lock %d against standby site %d", p.Kind(), lock, succ)
 		}

@@ -50,6 +50,9 @@ type clusterOpts struct {
 	metrics *obs.Registry
 	// placement enables the consistent-hash mobile lock namespace.
 	placement bool
+	// storeDirs backs the named sites with a durable store (missing sites
+	// keep the in-memory one).
+	storeDirs map[wire.SiteID]string
 }
 
 func defaultOpts() clusterOpts {
@@ -116,6 +119,7 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 			TreeMinSharers:      opts.treeMin,
 			Metrics:             opts.metrics,
 			FaultHook:           opts.faultHooks[site],
+			StoreDir:            opts.storeDirs[site],
 			RequestTimeout:      opts.reqTO,
 			TransferTimeout:     xferTO,
 			DefaultLease:        opts.lease,

@@ -402,6 +402,8 @@ func (n *Node) Close() error {
 		s.stop()
 	}
 	n.xfer.close()
+	// After this the release counters are final too.
+	n.client.carriage.close()
 	err := n.ep.Close()
 	if n.store != nil {
 		// After the endpoint: no protocol goroutine appends once sends and

@@ -69,6 +69,13 @@ const (
 	// Drop writes only a prefix of the frame — the torn tail a mid-write
 	// power cut leaves — and recovery must truncate it cleanly.
 	FPTornWALTail FaultPoint = FaultPoint(store.FaultTornWALTail)
+	// FPDropRelease fires in the release carriage just before a
+	// RELEASELOCK leaves — under home placement after Unlock has already
+	// returned. Drop loses the release as if the site died in that window:
+	// the pushes landed, the home never hears, and the hook's owner kills
+	// the site so the lease sweep breaks the hold and the recovery poll
+	// finds the pushed version at a sharer.
+	FPDropRelease FaultPoint = "drop-release"
 )
 
 // FaultPoints lists the registry in a stable order.
@@ -84,6 +91,7 @@ func FaultPoints() []FaultPoint {
 		FPDelayHandoff,
 		FPCrashBeforeFsync,
 		FPTornWALTail,
+		FPDropRelease,
 	}
 }
 

@@ -222,7 +222,9 @@ func (hs *homeState) breakStaleRestoredLocked(l *syncLock, thread wire.ThreadID)
 // Only authoritative knowledge forwards — a moved tombstone or route. A
 // release for a lock that plainly is not ours is dropped rather than
 // bounced off the ring: releases are best-effort (lease expiry is the
-// backstop) and a server-side forwarding loop would never terminate.
+// backstop) and a server-side forwarding loop would never terminate. A
+// forwarded release rides the node's release carriage like one of its own:
+// same retry ladder, waited out by Close, a loss counted.
 func (hs *homeState) forwardReleaseIfMoved(l *syncLock, msg *wire.ReleaseLock) bool {
 	var route *homeRoute
 	if l != nil {
@@ -244,17 +246,18 @@ func (hs *homeState) forwardReleaseIfMoved(l *syncLock, msg *wire.ReleaseLock) b
 	if route.to == hs.self {
 		return false
 	}
-	rec := route.getRec()
-	data := wire.Marshal(msg)
-	to := route.to
-	go func() {
-		// Ship the insurance record first so the release finds an
-		// installed record at the new home.
-		if rec != nil {
-			hs.sendToManager(to, rec)
-		}
-		hs.sendToManager(to, data)
-	}()
+	// This manager's word on where the lock went is as good as a redirect:
+	// teach the node's own router, and the release carriage's ladder starts
+	// at the new home.
+	n := hs.s.node
+	n.learnHome(msg.Lock, route.to, route.epoch)
+	var insurance func()
+	if rec, to := route.getRec(), route.to; rec != nil {
+		// Shipped first so the release finds an installed record at the new
+		// home.
+		insurance = func() { hs.sendToManager(to, rec) }
+	}
+	n.client.carryRelease(msg, insurance, nil)
 	return true
 }
 

@@ -108,7 +108,9 @@ type lockLocal struct {
 	// record the version step. Cleared once consumed or invalidated.
 	prevVersion  uint64
 	prevPayloads []wire.ReplicaPayload
-	// holder is the local thread currently holding the global lock.
+	// holder is the local thread currently holding the global lock, set
+	// until its release settles; heldGrant is nil once Unlock has handed
+	// that release to the carriage.
 	holder     wire.ThreadID
 	heldGrant  *wire.Grant
 	heldShared bool
@@ -711,10 +713,16 @@ func (rl *ReplicaLock) lock(ctx context.Context, shared bool) error {
 
 // Unlock releases the lock per Figure 5's unlock(): disseminate the new
 // value to UR-1 registered daemons, then send the synchronization thread
-// the release with the new version number and the up-to-date set.
+// the release with the new version number and the up-to-date set. With the
+// paper's fixed home it returns once that release is acknowledged. Under
+// home placement it returns once the release has been handed to the
+// release carriage (client.carryRelease): nil then means "disseminated and
+// on its way", a release the carriage cannot deliver is counted
+// (obs.CReleaseFailures) and the hold falls to its lease, and this site's
+// next acquire of the same lock waits at the local gate for the ack.
 func (rl *ReplicaLock) Unlock(ctx context.Context) error {
 	rl.st.mu.Lock()
-	if rl.st.holder != rl.h.id {
+	if rl.st.holder != rl.h.id || rl.st.heldGrant == nil {
 		rl.st.mu.Unlock()
 		return ErrNotHeld
 	}
@@ -823,26 +831,44 @@ func (rl *ReplicaLock) Unlock(ctx context.Context) error {
 		Shared:     shared,
 		Fence:      grant.Fence,
 	}
-	err := rl.node.client.sendToSync(ctx, rel)
-
 	rl.st.mu.Lock()
-	if err == nil && !shared {
-		// The release reached the synchronization thread: the published
-		// version is committed, and the persisted record can say so.
-		rl.node.persistCommitLocked(rl.st, newVersion)
-	}
-	rl.st.holder = 0
+	// The hold is the carriage's now: a second Unlock is ErrNotHeld, while
+	// holder stays set until the release settles, so a late revised grant is
+	// still recognised as this thread's and not handed back.
 	rl.st.heldGrant = nil
 	rl.st.mu.Unlock()
-	// "a local transfer is not permitted to insure lock acquisition
-	// proceeds in a manner that guarantees fairness": local waiters go
-	// through the home-site queue like everyone else.
-	<-rl.st.gate
-
-	if err != nil {
-		return fmt.Errorf("core: unlock %d release: %w", rl.id, err)
+	done := rl.node.client.carryRelease(rel, nil, func(err error) {
+		rl.st.mu.Lock()
+		if err == nil && !shared {
+			// The release reached the synchronization thread: the published
+			// version is committed, and the persisted record can say so.
+			rl.node.persistCommitLocked(rl.st, newVersion)
+		}
+		rl.st.holder = 0
+		rl.st.mu.Unlock()
+		if err == nil {
+			rl.node.obs().Inc(obs.CReleases)
+		}
+		// "a local transfer is not permitted to insure lock acquisition
+		// proceeds in a manner that guarantees fairness": local waiters go
+		// through the home-site queue like everyone else — and only once
+		// this release is acknowledged, so the home never sees an ACQUIRE
+		// from a site whose hold it still records.
+		<-rl.st.gate
+	})
+	if rl.node.ring == nil {
+		// The paper's unlock() sends the release and waits for it. Under
+		// home placement that wait is a wide-area round trip the protocol
+		// never asked for, and it is left to the carriage and the gate.
+		select {
+		case err := <-done:
+			if err != nil {
+				return fmt.Errorf("core: unlock %d release: %w", rl.id, err)
+			}
+		case <-ctx.Done():
+			return fmt.Errorf("core: unlock %d release: %w", rl.id, ctx.Err())
+		}
 	}
-	rl.node.obs().Inc(obs.CReleases)
 	span.End(obs.HReleaseTotal)
 	return nil
 }
@@ -850,9 +876,8 @@ func (rl *ReplicaLock) Unlock(ctx context.Context) error {
 // releaseAborted tells the synchronization thread we gave up without ever
 // observing the granted version.
 func (rl *ReplicaLock) releaseAborted(grant *wire.Grant, shared bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), rl.node.cfg.RequestTimeout)
-	defer cancel()
-	rel := &wire.ReleaseLock{
+	// Waited for: the caller reopens the gate when this returns.
+	<-rl.node.client.carryRelease(&wire.ReleaseLock{
 		Lock:       rl.id,
 		Releaser:   rl.node.cfg.Site,
 		Thread:     rl.h.id,
@@ -861,12 +886,7 @@ func (rl *ReplicaLock) releaseAborted(grant *wire.Grant, shared bool) {
 		Shared:     shared,
 		Aborted:    true,
 		Fence:      grant.Fence,
-	}
-	if err := rl.node.client.sendToSync(ctx, rel); err != nil {
-		if rl.node.log.On() {
-			rl.node.log.Logf("lock", "abort release of lock %d failed: %v", rl.id, err)
-		}
-	}
+	}, nil, nil)
 }
 
 // marshalReplicasLocked packs the lock's replicas — Figure 6's

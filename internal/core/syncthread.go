@@ -78,10 +78,11 @@ type syncLock struct {
 
 	mu      sync.Mutex
 	version uint64
-	// highWater is the highest version ever committed for this lock. It
+	// highWater is the highest version ever committed for this lock, or
+	// possibly published by an exclusive holder whose lease was broken. It
 	// never decreases: Section 4 recovery may rewrite version downward to
 	// the best surviving copy, but grants carry highWater as a floor so
-	// the recovered lineage never reuses a committed version number.
+	// the recovered lineage never reuses a version number.
 	highWater uint64
 	lastOwner wire.SiteID
 	upToDate  wire.SiteSet
@@ -928,6 +929,12 @@ func (s *syncThread) checkHolder(l *syncLock, h *holderInfo) {
 				l.lastOwner = sites[0]
 			}
 		}
+		// It may also have got as far as publishing the next version and
+		// pushing it to sharers before its release was lost (with its site,
+		// or in the release carriage). That number is spent: the next writer
+		// must not publish other bytes under it, or a sharer holding the
+		// orphan would take the new push for a duplicate and acknowledge it.
+		l.highWater++
 	}
 	s.node.obs().Inc(obs.CLeaseBreaks)
 	breakEv := wire.HistoryEvent{

@@ -58,14 +58,48 @@ type transferService struct {
 	relayAcks ackTable[*wire.RelayAck]
 
 	// carriage tracks the goroutines moving directive-driven transfers to
-	// their destinations (see sendReplicas); ctx bounds them to the
-	// service's lifetime, so close() can cancel and then wait for them.
-	// cancel and carriage.Add both run under mu: no carriage starts once
-	// the context is cancelled, so Add never races Wait.
-	mu       sync.Mutex
-	ctx      context.Context
-	cancel   context.CancelFunc
-	carriage sync.WaitGroup
+	// their destinations (see sendReplicas).
+	carriage *carriage
+}
+
+// carriage tracks goroutines that carry something to another site after the
+// call that started them has returned — a directive's replicas, a release —
+// so Node.Close can cancel them and wait them out. ctx bounds them to the
+// owner's lifetime. cancel and wg.Add both run under mu: nothing begins once
+// the context is cancelled, so Add never races Wait.
+type carriage struct {
+	mu     sync.Mutex
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+}
+
+func newCarriage() *carriage {
+	c := &carriage{}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	return c
+}
+
+// begin registers one goroutine about to start, unless close has run; the
+// goroutine calls done when it ends.
+func (c *carriage) begin() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ctx.Err() != nil {
+		return false
+	}
+	c.wg.Add(1)
+	return true
+}
+
+func (c *carriage) done() { c.wg.Done() }
+
+// close cancels every goroutine in flight and returns once they have ended.
+func (c *carriage) close() {
+	c.mu.Lock()
+	c.cancel()
+	c.mu.Unlock()
+	c.wg.Wait()
 }
 
 // pushKey identifies one awaited acknowledgment. Keying by site (not just
@@ -125,7 +159,6 @@ func newTransferService(n *Node) (*transferService, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	t := &transferService{
 		carrier: carrier{
 			node:    n,
@@ -133,9 +166,8 @@ func newTransferService(n *Node) (*transferService, error) {
 			streams: make(map[uint64]chan string),
 			conns:   make(map[wire.SiteID]*cachedStream),
 		},
-		tracker: overlay.NewTracker(overlay.Config{Metrics: n.cfg.Metrics}),
-		ctx:     ctx,
-		cancel:  cancel,
+		tracker:  overlay.NewTracker(overlay.Config{Metrics: n.cfg.Metrics}),
+		carriage: newCarriage(),
 	}
 	port.SetHandler(t.handle)
 	return t, nil
@@ -213,13 +245,9 @@ func (t *transferService) sendReplicas(dir *wire.TransferReplica) error {
 		return marshalErr
 	}
 
-	t.mu.Lock()
-	if t.ctx.Err() != nil {
-		t.mu.Unlock()
+	if !t.carriage.begin() {
 		return ErrClosed
 	}
-	t.carriage.Add(1)
-	t.mu.Unlock()
 	if t.node.histEnabled() {
 		t.node.recordHist(wire.HistoryEvent{
 			Kind: wire.HistTransferSend, Site: t.node.cfg.Site, Lock: dir.Lock,
@@ -228,8 +256,8 @@ func (t *transferService) sendReplicas(dir *wire.TransferReplica) error {
 		})
 	}
 	go func() {
-		defer t.carriage.Done()
-		ctx, cancel := context.WithTimeout(t.ctx, t.node.cfg.TransferTimeout)
+		defer t.carriage.done()
+		ctx, cancel := context.WithTimeout(t.carriage.ctx, t.node.cfg.TransferTimeout)
 		defer cancel()
 		var deltaBlob []byte
 		if delta != nil {
@@ -310,10 +338,7 @@ func (t *transferService) resendFull(msg *wire.DeltaNack) {
 // every cached stream connection; called from Node.Close. Once it returns
 // the transfer counters are final.
 func (t *transferService) close() {
-	t.mu.Lock()
-	t.cancel()
-	t.mu.Unlock()
-	t.carriage.Wait()
+	t.carriage.close()
 	t.closeStreams()
 }
 

@@ -33,6 +33,10 @@ const (
 	// HRelayHop is a bucket relay's push-to-aggregated-ack round trip as
 	// observed by the releaser.
 	HRelayHop
+	// HReleaseAck is the release carriage's send-to-ack time for one
+	// RELEASELOCK: part of HReleaseTotal with a fixed home, outside it
+	// under home placement, where Unlock does not wait for it.
+	HReleaseAck
 	numHists
 )
 
@@ -47,6 +51,7 @@ var histNames = [numHists]string{
 	HDaemonPoll:   "mocha_daemon_poll_seconds",
 	HGrantDeliver: "mocha_grant_deliver_seconds",
 	HRelayHop:     "mocha_relay_hop_seconds",
+	HReleaseAck:   "mocha_release_ack_seconds",
 }
 
 var phaseNames = [numHists]string{
@@ -60,6 +65,7 @@ var phaseNames = [numHists]string{
 	HDaemonPoll:   "daemon_poll",
 	HGrantDeliver: "grant_deliver",
 	HRelayHop:     "relay_hop",
+	HReleaseAck:   "release_ack",
 }
 
 // Name returns the histogram's exported name.

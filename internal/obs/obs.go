@@ -115,6 +115,11 @@ const (
 	// carriage to the destination daemon failed (unreachable or timed
 	// out), tallied by the source daemon.
 	CTransferFailures
+	// CReleaseFailures counts RELEASELOCKs the release carriage could not
+	// deliver (home, re-resolved route and standby all unreachable, or the
+	// node closed first), tallied by the sending site; the hold then falls
+	// to its lease.
+	CReleaseFailures
 	numCounters
 )
 
@@ -158,6 +163,7 @@ var counterNames = [numCounters]string{
 	CStandbyPromotions: "mocha_standby_promotions_total",
 	CHomeRedirects:     "mocha_home_redirects_total",
 	CTransferFailures:  "mocha_transfer_failures_total",
+	CReleaseFailures:   "mocha_release_failures_total",
 }
 
 // Name returns the counter's exported name.

@@ -218,9 +218,11 @@ func TestSnapshotAndWriters(t *testing.T) {
 	clock.Tick()
 	clock.Tick()
 	r.Inc(CGrants)
+	r.Inc(CReleaseFailures)
 	r.GaugeSet(GSyncLocks, 2)
 	r.ShardDepthAdd(5, 3)
 	r.Observe(HApply, 2*time.Millisecond)
+	r.Observe(HReleaseAck, 24*time.Millisecond)
 	r.StartSpan("acquire", 1, 1).End(HAcquireTotal)
 
 	snap := r.Snapshot()
@@ -247,7 +249,10 @@ func TestSnapshotAndWriters(t *testing.T) {
 	if err := snap.WriteJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"mocha_grants_total": 1`, `"mocha_sync_locks": 2`, `"spans"`} {
+	for _, want := range []string{
+		`"mocha_grants_total": 1`, `"mocha_release_failures_total": 1`, `"mocha_release_ack_seconds"`,
+		`"mocha_sync_locks": 2`, `"spans"`,
+	} {
 		if !strings.Contains(jsonBuf.String(), want) {
 			t.Errorf("JSON missing %q", want)
 		}
@@ -260,6 +265,8 @@ func TestSnapshotAndWriters(t *testing.T) {
 	prom := promBuf.String()
 	for _, want := range []string{
 		"# TYPE mocha_grants_total counter\nmocha_grants_total 1\n",
+		"# TYPE mocha_release_failures_total counter\nmocha_release_failures_total 1\n",
+		"mocha_release_ack_seconds_count 1",
 		"# TYPE mocha_sync_locks gauge\nmocha_sync_locks 2\n",
 		`mocha_sync_shard_queue_depth{shard="5"} 3`,
 		"# TYPE mocha_apply_seconds histogram",

@@ -358,8 +358,14 @@ func WithDisseminationTree() Option { return func(o *options) { o.tree = true } 
 // every site by a consistent-hash ring, each home migrates a lock toward
 // the site that dominates its accesses, streams record deltas to its ring
 // successor, and that standby promotes the records — leases, version
-// floors, and dirty sets intact — if the home dies. Off by default (the
-// paper's single fixed home).
+// floors, and dirty sets intact — if the home dies. With placement on,
+// ReplicaLock.Unlock returns once the new version is disseminated and the
+// release is on its way: the home's acknowledgment — a wide-area round
+// trip — is awaited in the background, this site's next Lock of the same
+// lock waits for it, and a release that cannot be delivered is counted
+// (mocha_release_failures_total) and left to the lock's lease. Off by
+// default (the paper's single fixed home, whose Unlock blocks until the
+// home acknowledged and reports an unreachable home as an error).
 func WithHomePlacement() Option { return func(o *options) { o.placement = true } }
 
 // WithDurableStore backs every site's replica state with a log-structured
