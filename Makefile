@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race transfer-order release-order fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-load bench-tree bench-home bench-store
+.PHONY: check fmt-check vet build test race transfer-order release-order standby-order fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-load bench-tree bench-home bench-store
 
 # check is the full CI gate: formatting, static analysis, build, the
 # complete test suite, the race detector over the concurrency-heavy
 # packages, short fuzz passes over the wire and WAL-record decoders, and
 # the kill -9 crash-recovery smoke over the durable store.
-check: fmt-check vet build test race transfer-order release-order fuzz-smoke crash-smoke
+check: fmt-check vet build test race transfer-order release-order standby-order fuzz-smoke crash-smoke
 
 # fmt-check fails if any Go file is not gofmt-clean.
 fmt-check:
@@ -48,6 +48,15 @@ transfer-order:
 # and a version number orphaned by a lost release is never published twice.
 release-order:
 	$(GO) test ./internal/core -count=20 -run 'TestUnlockLeavesHomeAckToCarriage$$|TestReacquireWaitsOutReleaseLadder$$|TestUndeliveredReleaseIsCounted$$|TestCloseWaitsOutReleaseCarriage$$|TestForwardedReleaseRidesCarriage$$|TestDropReleaseRecoversPushedVersion$$|TestLostReleaseVersionNotReused$$'
+
+# standby-order does the same for the standby a home streams to: the chooser
+# picks the first ring member in ID-successor order inside the band of the
+# fastest probe answer (the successor when nothing answers) and closes at
+# the first answer plus the band; on a two-region WAN every standby is
+# in-region and still promotes when its home dies; and a release sent while
+# the standby has not promoted is counted lost, not acked and dropped.
+standby-order:
+	$(GO) test ./internal/core -count=20 -run 'TestChooseStandby$$|TestStandbyStaysInRegion$$|TestReleaseBeforePromotionIsCounted$$'
 
 # fuzz-smoke runs the wire-decoder fuzzer briefly on top of its checked-in
 # corpus (testdata/fuzz). Long open-ended fuzzing is a background job, not

@@ -23,8 +23,8 @@ import (
 // site, so a dead home strands its whole lock namespace until an operator
 // snapshots state onto a surrogate by hand (core/surrogate.go is exactly
 // that manual path). The placement leg spreads lock homes over a
-// consistent-hash ring (DESIGN S34), streams each record to its ring
-// successor, and lets the successor's monitor promote the shadows when
+// consistent-hash ring (DESIGN S34), streams each record to the home's
+// standby, and lets the standby's monitor promote the shadows when
 // the home dies — so the same kill leaves every lock acquirable with no
 // operator in the loop. Both legs replay their recorded history through
 // the entry-consistency checker: failover that resurrects stale holds or
@@ -49,7 +49,7 @@ func (c Config) homeParams() homeParams {
 }
 
 // Failure-detection pacing for the leg's cluster: the standby monitor
-// probes its ring predecessor once per sweep and needs
+// probes each home that streams to it once per sweep and needs
 // three consecutive misses (each bounded by the request timeout), so a
 // kill is detected and promoted in roughly 3 × homeReqTimeout.
 const (
@@ -293,7 +293,7 @@ func homeLeg(cfg Config, hp homeParams, placement bool) (homeLegResult, error) {
 	sim.Kill(netsim.NodeID(victim))
 
 	if placement {
-		// Wait for the victim's ring successor to declare it dead and
+		// Wait for the victim's standby to declare it dead and
 		// promote the shadows (3 missed probes at the sweep cadence).
 		deadline := time.Now().Add(30 * time.Second)
 		for reg.CounterValue(obs.CStandbyPromotions) == 0 {

@@ -615,7 +615,7 @@ func (c *checker) onRecover(ev wire.HistoryEvent) *Violation {
 	ls := c.lock(ev.Lock)
 	if ev.Note == "standby-promote" && ev.Version < ls.committed {
 		// A standby's shadow may run ahead of the history (release state
-		// streams to the successor before it is recorded) but never
+		// streams to the standby before it is recorded) but never
 		// behind it: promoting a shadow below the committed version means
 		// a committed number would be re-issued to the next holder.
 		return violate(ErrVersionRegress,
@@ -640,7 +640,7 @@ func (c *checker) onRecover(ev wire.HistoryEvent) *Violation {
 			ls.know(ev.Version, site)
 		}
 	case "standby-promote":
-		// A ring successor restored the lock from its streamed shadow.
+		// A home's standby restored the lock from its streamed shadow.
 		// Unlike a surrogate restore, leases survive: the shadow carries
 		// the holder and readers (ev.Thread names the restored exclusive
 		// holder), so matching holds are kept — only the version baseline

@@ -141,8 +141,8 @@ func (c *client) autoRelease(g *wire.Grant) {
 // carryRelease hands one RELEASELOCK to the release carriage and returns
 // at once: a tracked goroutine runs first (when given — a forwarding home's
 // re-ship insurance, which must reach the new home ahead of the release),
-// sends the release up the sendToSync ladder (home, re-resolved route,
-// standby), tallies the outcome, and then calls settle with it (when given
+// sends the release up the sendToSync ladder (home, re-resolved route),
+// tallies the outcome, and then calls settle with it (when given
 // — the releaser's commit-and-reopen-the-gate step). The ladder runs on the
 // client's own context, not the caller's: a release whose Unlock has already
 // returned must not die with that call's deadline. The returned channel
@@ -245,9 +245,12 @@ func lockOfPayload(p wire.Payload) (wire.LockID, bool) {
 
 // sendToHome routes a control message to the lock's current best-known
 // home manager. An unreachable home is retried against a re-resolved
-// route (a HomeMoved broadcast may have landed meanwhile) and finally
-// against the home's ring successor — its standby, which either has
-// promoted the lock already or will shortly.
+// route: the HomeMoved broadcast of a standby that promoted the lock may
+// have landed meanwhile. There is no third rung. Nobody but the home knows
+// its standby, and a standby that has not promoted yet would acknowledge
+// the frame and then drop it as not its own — a release counted delivered
+// and lost. Until the broadcast lands, the message fails here and the
+// caller's own recovery takes over (lease, retry).
 func (c *client) sendToHome(ctx context.Context, p wire.Payload, lock wire.LockID) error {
 	app := wire.Appender{P: p}
 	try := func(site wire.SiteID) error {
@@ -268,25 +271,11 @@ func (c *client) sendToHome(ctx context.Context, p wire.Payload, lock wire.LockI
 		return ctx.Err()
 	}
 	if re, _ := c.node.homeOf(lock); re != home {
-		home = re
-		if err = try(home); err == nil {
+		if err = try(re); err == nil {
 			return nil
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
-		}
-	}
-	// This site's own manager is no fallback: had it promoted the lock it
-	// would have taught the local router first (promoteFrom) and been the
-	// re-resolved route above; until then it answers for a lock it does not
-	// home — and a release it forwards (forwardReleaseIfMoved) would come
-	// straight back to it.
-	if succ := c.node.ring.Successor(home); succ != 0 && succ != home && succ != c.node.cfg.Site {
-		if c.node.log.On() {
-			c.node.log.Logf("client", "retrying %s for lock %d against standby site %d", p.Kind(), lock, succ)
-		}
-		if err2 := try(succ); err2 == nil {
-			return nil
 		}
 	}
 	return fmt.Errorf("%w: %v", ErrNoSync, err)

@@ -159,6 +159,13 @@ func (tc *testCluster) kill(site wire.SiteID) {
 	tc.sn.Kill(netsim.NodeID(site))
 }
 
+// standbyOf returns the standby a placement home streams its records to:
+// the home's one resolved choice (made now if it has streamed nothing yet),
+// so no test encodes the rule that picks it.
+func (tc *testCluster) standbyOf(home wire.SiteID) wire.SiteID {
+	return tc.node(home).Sync().home.standby()
+}
+
 // tctx returns a generous test context.
 func tctx(t *testing.T) context.Context {
 	t.Helper()

@@ -108,8 +108,8 @@ type Config struct {
 	// HomePlacement replaces the fixed home site with a consistent-hash
 	// ring over every site in the directory: each runs a synchronization
 	// thread for its slice of the lock namespace, lock homes migrate toward
-	// observed access locality, and each home streams record deltas to
-	// its ring successor for standby failover. Off by default — the
+	// observed access locality, and each home streams record deltas to its
+	// nearest live ring member for standby failover. Off by default — the
 	// paper's fixed-home baseline.
 	HomePlacement bool
 	// Codec marshals replica content; all sites must agree.

@@ -50,8 +50,8 @@ const (
 	FPDropRelayFan FaultPoint = "drop-relay-fan"
 	// FPKillLockHome fires at a lock's home manager just after a grant was
 	// delivered — the window where the standby must already know the
-	// holder. The hook's owner kills the manager site, so the ring
-	// successor's promotion must restore the lease, version floor, and
+	// holder. The hook's owner kills the manager site, so the standby's
+	// promotion must restore the lease, version floor, and
 	// dirty set for the lock to stay acquirable.
 	FPKillLockHome FaultPoint = "kill-lock-home"
 	// FPDelayHandoff fires at an old home just before it ships a frozen

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"sync"
 	"time"
 
-	"sync"
-
 	"mocha/internal/obs"
+	"mocha/internal/overlay"
 	"mocha/internal/placement"
 	"mocha/internal/wire"
 )
@@ -20,8 +20,9 @@ import (
 //     ships it to that site in a HandoffRecord, and leaves a redirecting
 //     tombstone behind. Clients chasing the old home get NackNotHome with
 //     the new address and re-route.
-//   - Standby failover: every home streams record deltas to its ring
-//     successor. The successor probes its predecessor and, after enough
+//   - Standby failover: every home streams record deltas to one standby,
+//     its nearest live ring member by one timed probe round (chooseStandby).
+//     The standby watches every home that streams to it and, after enough
 //     missed heartbeats, promotes its shadows — leases, version floors,
 //     and dirty sets survive the home's death, so no lock is stranded.
 //
@@ -35,9 +36,13 @@ const (
 	migrateMinAcquires = 8
 	// handoffAttempts bounds HandoffRecord (re)sends per migration.
 	handoffAttempts = 3
-	// standbyMissThreshold is how many consecutive failed predecessor
-	// probes the standby monitor tolerates before promoting.
+	// standbyMissThreshold is how many consecutive failed probes of a home
+	// the standby monitor tolerates before promoting.
 	standbyMissThreshold = 3
+	// standbyBand is how much slower than the fastest probe answer a ring
+	// member may be and still count as near when a home picks its standby:
+	// the overlay's locality band, so "near" means one thing everywhere.
+	standbyBand = overlay.DefaultBucketWidth
 )
 
 // homeRoute is a forwarding address for a migrated lock: where it went
@@ -68,7 +73,7 @@ func (r *homeRoute) getRec() []byte {
 	return r.rec
 }
 
-// shadowRecord is a standby's copy of one of its predecessor's records.
+// shadowRecord is a standby's copy of one of a home's records.
 type shadowRecord struct {
 	from  wire.SiteID
 	epoch uint32
@@ -83,7 +88,12 @@ type homeState struct {
 	s    *syncThread
 	ring *placement.Ring
 	self wire.SiteID
-	succ wire.SiteID // ring successor: this manager's standby (0 if alone)
+
+	// standbyOnce guards standbyTo, the one standby this home streams to,
+	// chosen on first use (see standby); 0 only when the ring has no other
+	// member.
+	standbyOnce sync.Once
+	standbyTo   wire.SiteID
 
 	mu sync.Mutex
 	// adopted marks locks this manager serves even though the ring hashes
@@ -99,10 +109,15 @@ type homeState struct {
 	// (a frozen lock has at most one migration).
 	waiters  map[wire.LockID]chan *wire.HandoffAck
 	promoted map[wire.SiteID]bool
+	// watching marks the homes that stream to this standby, each watched
+	// by one monitor from its first StandbyUpdate on; retired stops new
+	// monitors once the manager is stopping.
+	watching map[wire.SiteID]bool
+	retired  bool
 }
 
 func newHomeState(s *syncThread) *homeState {
-	hs := &homeState{
+	return &homeState{
 		s:        s,
 		ring:     s.node.ring,
 		self:     s.node.cfg.Site,
@@ -111,21 +126,16 @@ func newHomeState(s *syncThread) *homeState {
 		shadows:  make(map[wire.LockID]*shadowRecord),
 		waiters:  make(map[wire.LockID]chan *wire.HandoffAck),
 		promoted: make(map[wire.SiteID]bool),
+		watching: make(map[wire.SiteID]bool),
 	}
-	if succ := hs.ring.Successor(hs.self); succ != hs.self {
-		hs.succ = succ
-	}
-	return hs
 }
 
-// start launches the standby monitor once the ports are wired up.
-func (hs *homeState) start() {
-	pred := hs.ring.Predecessor(hs.self)
-	if pred == 0 || pred == hs.self {
-		return
-	}
-	hs.s.sweepWG.Add(1)
-	go hs.monitor(pred)
+// retire stops StandbyUpdates from starting monitors. syncThread.stop calls
+// it before waiting out sweepWG, so every monitor's Add precedes the Wait.
+func (hs *homeState) retire() {
+	hs.mu.Lock()
+	hs.retired = true
+	hs.mu.Unlock()
 }
 
 func (hs *homeState) routeFor(lock wire.LockID) *homeRoute {
@@ -606,18 +616,101 @@ func (hs *homeState) onHandoffAck(msg *wire.HandoffAck) {
 
 // ---- standby replication and failover --------------------------------
 
-// standbyActionLocked snapshots the record for the ring successor; the
-// caller holds l.mu. The returned action performs the send (never nil,
-// possibly a no-op).
+// chooseStandby picks a home's standby from order — the other ring members
+// in ID-successor order — by timing one probe to each, all in parallel.
+// The standby is the first member in order whose round trip is below the
+// fastest answer plus band, so equally near members tie-break by ID the
+// way the ring always did. The choice closes at the first answer plus band
+// (or once every probe is back): a dead or far member never delays it.
+// With no answer at all it is order[0], the ring successor — as it is on a
+// uniform network, where every member answers inside the band. The second
+// result is the chosen member's round trip, 0 when none was measured.
+func chooseStandby(order []wire.SiteID, band time.Duration, probe func(wire.SiteID) bool) (wire.SiteID, time.Duration) {
+	if len(order) == 0 {
+		return 0, 0
+	}
+	type answer struct {
+		site wire.SiteID
+		rtt  time.Duration
+		ok   bool
+	}
+	// Buffered for every probe: the ones still out when the choice closes
+	// finish into it and exit.
+	answers := make(chan answer, len(order))
+	start := time.Now()
+	for _, site := range order {
+		site := site
+		go func() {
+			ok := probe(site)
+			answers <- answer{site, time.Since(start), ok}
+		}()
+	}
+	rtts := make(map[wire.SiteID]time.Duration, len(order))
+	var fastest time.Duration
+	var closed <-chan time.Time
+collect:
+	for pending := len(order); pending > 0; pending-- {
+		select {
+		case a := <-answers:
+			if !a.ok {
+				continue
+			}
+			if len(rtts) == 0 {
+				fastest = a.rtt
+				t := time.NewTimer(band)
+				defer t.Stop()
+				closed = t.C
+			}
+			rtts[a.site] = a.rtt
+		case <-closed:
+			break collect
+		}
+	}
+	for _, site := range order {
+		if rtt, ok := rtts[site]; ok && rtt < fastest+band {
+			return site, rtt
+		}
+	}
+	return order[0], 0
+}
+
+// standby returns the one site this home streams its records to, choosing
+// it on first use — before the first record the home creates, installs or
+// promotes is streamed — by one Heartbeat probe to every other ring member
+// (chooseStandby). The probes' samples choose the standby and nothing
+// else. Callers hold no record mutex: the first one waits out the probes.
+func (hs *homeState) standby() wire.SiteID {
+	hs.standbyOnce.Do(func() {
+		s := hs.s
+		to, rtt := chooseStandby(hs.ring.Successors(hs.self), standbyBand, func(site wire.SiteID) bool {
+			addr, err := s.node.daemonAddr(site)
+			return err == nil && s.probe(addr)
+		})
+		hs.standbyTo = to
+		s.node.obs().StandbyRTTSet(uint32(hs.self), rtt)
+		if s.node.log.On() {
+			s.node.log.Logf("sync", "standby for site %d's records is site %d (probe rtt %v)", hs.self, to, rtt)
+		}
+	})
+	return hs.standbyTo
+}
+
+// hasStandby reports whether this home streams to a standby at all — any
+// other ring member — without waiting for the choice; safe under l.mu.
+func (hs *homeState) hasStandby() bool { return hs.ring.Len() > 1 }
+
+// standbyActionLocked snapshots the record for the standby; the caller
+// holds l.mu. The returned action performs the send (never nil, possibly a
+// no-op) and must run outside every record mutex.
 func (hs *homeState) standbyActionLocked(l *syncLock) func() {
-	if hs.succ == 0 || l.moved != nil {
+	if !hs.hasStandby() || l.moved != nil {
 		return func() {}
 	}
 	l.standbySeq++
 	upd := &wire.StandbyUpdate{From: hs.self, Epoch: l.homeEpoch, Seq: l.standbySeq, Record: snapshotRecordLocked(l, time.Now())}
 	data := wire.Marshal(upd)
 	return func() {
-		if hs.sendToManager(hs.succ, data) {
+		if hs.sendToManager(hs.standby(), data) {
 			hs.s.node.obs().Inc(obs.CStandbyUpdates)
 		}
 	}
@@ -627,27 +720,30 @@ func (hs *homeState) standbyActionLocked(l *syncLock) func() {
 // by deliverGrant before the grant leaves, closing the window where a
 // client could hold a lock no standby knows about.
 func (hs *homeState) streamHoldSync(l *syncLock) {
+	start := time.Now()
 	l.mu.Lock()
 	action := hs.standbyActionLocked(l)
 	l.mu.Unlock()
 	action()
+	hs.s.node.obs().Observe(obs.HStandbyStream, time.Since(start))
 }
 
-// streamDelete retires the successor's shadow of a collected record.
+// streamDelete retires the standby's shadow of a collected record.
 func (hs *homeState) streamDelete(lock wire.LockID) {
-	if hs.succ == 0 {
+	if !hs.hasStandby() {
 		return
 	}
 	data := wire.Marshal(&wire.StandbyUpdate{From: hs.self, Delete: true, Record: wire.LockRecord{Lock: lock}})
 	go func() {
-		if hs.sendToManager(hs.succ, data) {
+		if hs.sendToManager(hs.standby(), data) {
 			hs.s.node.obs().Inc(obs.CStandbyUpdates)
 		}
 	}()
 }
 
-// onStandbyUpdate applies one predecessor record delta to the shadow
-// table.
+// onStandbyUpdate applies one home's record delta to the shadow table. The
+// first update from a home starts this site's monitor of it: a home names
+// its standby by streaming to it, so the two agree by construction.
 func (hs *homeState) onStandbyUpdate(msg *wire.StandbyUpdate) {
 	if msg.From == hs.self {
 		return
@@ -655,6 +751,11 @@ func (hs *homeState) onStandbyUpdate(msg *wire.StandbyUpdate) {
 	lock := msg.Record.Lock
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
+	if !hs.watching[msg.From] && !hs.retired {
+		hs.watching[msg.From] = true
+		hs.s.sweepWG.Add(1)
+		go hs.monitor(msg.From)
+	}
 	if msg.Delete {
 		// Deletes carry no snapshot sequence: the home GC'd the record, so
 		// any shadow it streamed is obsolete regardless of ordering.
@@ -670,10 +771,10 @@ func (hs *homeState) onStandbyUpdate(msg *wire.StandbyUpdate) {
 	hs.shadows[lock] = &shadowRecord{from: msg.From, epoch: msg.Epoch, seq: msg.Seq, rec: msg.Record}
 }
 
-// monitor probes the ring predecessor and promotes its shadows once it is
-// declared dead. One-shot: after a promotion the monitor retires (the
-// static ring has no rejoin protocol).
-func (hs *homeState) monitor(pred wire.SiteID) {
+// monitor probes a home that streams to this standby and promotes its
+// shadows once it is declared dead. One-shot: after a promotion the
+// monitor retires (the static ring has no rejoin protocol).
+func (hs *homeState) monitor(home wire.SiteID) {
 	s := hs.s
 	defer s.sweepWG.Done()
 	t := time.NewTicker(s.node.cfg.LeaseSweep)
@@ -685,7 +786,7 @@ func (hs *homeState) monitor(pred wire.SiteID) {
 		case <-s.stopCh:
 			return
 		}
-		addr, err := s.node.daemonAddr(pred)
+		addr, err := s.node.daemonAddr(home)
 		if err != nil {
 			continue
 		}
@@ -695,28 +796,28 @@ func (hs *homeState) monitor(pred wire.SiteID) {
 		}
 		misses++
 		if misses >= standbyMissThreshold {
-			hs.promoteFrom(pred)
+			hs.promoteFrom(home)
 			return
 		}
 	}
 }
 
-// promoteFrom installs every shadow streamed by a dead predecessor,
-// making this manager home for its locks, and broadcasts the new routes.
-// Restored holds are re-anchored on this site's clock with their shipped
-// remaining leases; version floors and dirty sets carry over unchanged.
-func (hs *homeState) promoteFrom(pred wire.SiteID) {
+// promoteFrom installs every shadow streamed by a dead home, making this
+// manager home for its locks, and broadcasts the new routes. Restored
+// holds are re-anchored on this site's clock with their shipped remaining
+// leases; version floors and dirty sets carry over unchanged.
+func (hs *homeState) promoteFrom(dead wire.SiteID) {
 	s := hs.s
 	n := s.node
 	hs.mu.Lock()
-	if hs.promoted[pred] {
+	if hs.promoted[dead] {
 		hs.mu.Unlock()
 		return
 	}
-	hs.promoted[pred] = true
+	hs.promoted[dead] = true
 	var shadows []*shadowRecord
 	for lock, sh := range hs.shadows {
-		if sh.from == pred {
+		if sh.from == dead {
 			shadows = append(shadows, sh)
 			delete(hs.shadows, lock)
 		}
@@ -724,7 +825,7 @@ func (hs *homeState) promoteFrom(pred wire.SiteID) {
 	hs.mu.Unlock()
 	n.obs().Inc(obs.CStandbyPromotions)
 	if n.log.On() {
-		n.log.Logf("fault", "promoting %d standby records from dead site %d", len(shadows), pred)
+		n.log.Logf("fault", "promoting %d standby records from dead site %d", len(shadows), dead)
 	}
 
 	var locks []wire.LockID
@@ -767,7 +868,7 @@ func (hs *homeState) promoteFrom(pred wire.SiteID) {
 	for _, lk := range locks {
 		n.learnHome(lk, hs.self, maxEpoch)
 	}
-	moved := wire.Marshal(&wire.HomeMoved{From: pred, To: hs.self, Epoch: maxEpoch, Locks: locks})
+	moved := wire.Marshal(&wire.HomeMoved{From: dead, To: hs.self, Epoch: maxEpoch, Locks: locks})
 	for site := range n.cfg.Directory {
 		if site == hs.self {
 			continue
@@ -881,7 +982,7 @@ func (s *syncThread) installRecordLocked(l *syncLock, rec *wire.LockRecord, home
 }
 
 // PromoteStandby forces this site's manager to promote the shadows it
-// holds for one predecessor, as if the standby monitor had declared it
+// holds for one home, as if the standby monitor had declared it
 // dead. For tests and operational tooling.
 func (n *Node) PromoteStandby(from wire.SiteID) {
 	n.mu.Lock()

@@ -37,7 +37,7 @@ next:
 }
 
 // TestStandbyPromotionPreservesLockState kills a lock's home while a
-// client holds the lock and verifies the ring successor's promoted record
+// client holds the lock and verifies the standby's promoted record
 // carries the hold (with a live remaining lease), the committed version,
 // the version floor, and the dirty set — and that the lock remains fully
 // usable: the surviving holder releases into the new home and another
@@ -49,7 +49,7 @@ func TestStandbyPromotionPreservesLockState(t *testing.T) {
 	ctx := tctx(t)
 
 	home, _ := tc.node(1).homeOf(lockID)
-	succ := tc.node(1).Ring().Successor(home)
+	standby := tc.standbyOf(home)
 	holderSite := otherSite(t, sites, home)
 
 	// Create at the home's own site so setup survives the later kill
@@ -83,10 +83,10 @@ func TestStandbyPromotionPreservesLockState(t *testing.T) {
 	settle()
 
 	tc.kill(home)
-	tc.node(succ).PromoteStandby(home)
+	tc.node(standby).PromoteStandby(home)
 	settle()
 
-	got := tc.node(succ).Sync().lookupLock(lockID)
+	got := tc.node(standby).Sync().lookupLock(lockID)
 	if got == nil {
 		t.Fatal("promotion installed no record at the standby")
 	}
@@ -110,7 +110,7 @@ func TestStandbyPromotionPreservesLockState(t *testing.T) {
 	if !dirty.Contains(9) {
 		t.Fatalf("promoted record dirty set %v lost the streamed marker", dirty.Sites())
 	}
-	if v := tc.node(succ).metrics.CounterValue(obs.CStandbyPromotions); v < 1 {
+	if v := tc.node(standby).metrics.CounterValue(obs.CStandbyPromotions); v < 1 {
 		t.Fatalf("CStandbyPromotions = %d, want >= 1", v)
 	}
 
@@ -122,7 +122,7 @@ func TestStandbyPromotionPreservesLockState(t *testing.T) {
 	}
 	third := otherSite(t, sites, home, holderSite)
 	if third == 0 {
-		third = succ
+		third = standby
 	}
 	h2 := tc.node(third).NewHandle("after")
 	rl2, rep2 := mustAttach(t, h2, lockID, "mobile")

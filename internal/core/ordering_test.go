@@ -81,7 +81,7 @@ func TestDuplicateAcquireSuppression(t *testing.T) {
 // TestReleaseRetryAfterPromotionIsStale pins the double-commit bug the
 // stream-first ordering closes: a release processed by a dying home may
 // never be acked to the client, which then retries it at the promoted
-// standby. Because the release streamed to the successor before it was
+// standby. Because the release streamed to the standby before it was
 // recorded, the promoted record already shows the hold cleared — the
 // retry must read as stale and leave the version untouched. A second
 // commit would be caught at cleanup by the checker (ErrVersionRegress:
@@ -93,7 +93,7 @@ func TestReleaseRetryAfterPromotionIsStale(t *testing.T) {
 	ctx := tctx(t)
 
 	home, _ := tc.node(1).homeOf(lockID)
-	succ := tc.node(1).Ring().Successor(home)
+	standby := tc.standbyOf(home)
 	holderSite := otherSite(t, sites, home)
 
 	hc := tc.node(home).NewHandle("creator")
@@ -113,10 +113,10 @@ func TestReleaseRetryAfterPromotionIsStale(t *testing.T) {
 	settle()
 
 	tc.kill(home)
-	tc.node(succ).PromoteStandby(home)
+	tc.node(standby).PromoteStandby(home)
 	settle()
 
-	sNew := tc.node(succ).Sync()
+	sNew := tc.node(standby).Sync()
 	l := sNew.lookupLock(lockID)
 	if l == nil {
 		t.Fatal("promotion installed no record at the standby")

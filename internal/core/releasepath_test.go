@@ -226,8 +226,9 @@ func TestUnlockLeavesHomeAckToCarriage(t *testing.T) {
 
 // TestReacquireWaitsOutReleaseLadder kills a lock's home under its holder.
 // Unlock returns at once; the carriage fails against the dead home and
-// delivers the release to the standby, promoted meanwhile; the same
-// thread's next Lock waits at the gate for all of that. Had its ACQUIRE
+// delivers the release on the re-resolved route to the standby, promoted
+// meanwhile (its HomeMoved broadcast taught the releaser the route); the
+// same thread's next Lock waits at the gate for all of that. Had its ACQUIRE
 // left first, the promoted home would have met its own restored holder
 // asking again, broken the hold as stale and dropped the release — and v2
 // with it.
@@ -240,8 +241,8 @@ func TestReacquireWaitsOutReleaseLadder(t *testing.T) {
 
 	const lockID = wire.LockID(30)
 	home, _ := tc.node(1).homeOf(lockID)
-	succ := tc.node(1).Ring().Successor(home)
-	releaser := otherSite(t, sites, home, succ)
+	standby := tc.standbyOf(home)
+	releaser := otherSite(t, sites, home, standby)
 
 	mustCreate(t, tc.node(home).NewHandle("creator"), lockID, "mobile", []int32{1}, sites)
 	hr := tc.node(releaser).NewHandle("survivor")
@@ -263,7 +264,7 @@ func TestReacquireWaitsOutReleaseLadder(t *testing.T) {
 	go func() { relocked <- rl.Lock(ctx) }()
 	// The carriage is still failing against the dead home (mnet gives up
 	// after four 25 ms retries); only now does the standby take over.
-	tc.node(succ).PromoteStandby(home)
+	tc.node(standby).PromoteStandby(home)
 
 	if err := <-relocked; err != nil {
 		t.Fatalf("re-acquire through the promoted home: %v", err)
@@ -276,7 +277,7 @@ func TestReacquireWaitsOutReleaseLadder(t *testing.T) {
 	}
 	assertReleaseBeforeReacquire(t, tc, lockID, hr.ID())
 	if got := opts.metrics.CounterValue(obs.CReleaseFailures); got != 0 {
-		t.Errorf("release failures = %d, want 0: the standby acknowledged", got)
+		t.Errorf("release failures = %d, want 0: the promoted standby acknowledged", got)
 	}
 }
 
@@ -295,8 +296,8 @@ func TestUndeliveredReleaseIsCounted(t *testing.T) {
 
 		const lockID = wire.LockID(30)
 		home, _ := tc.node(1).homeOf(lockID)
-		succ := tc.node(1).Ring().Successor(home)
-		releaser := otherSite(t, sites, home, succ)
+		standby := tc.standbyOf(home)
+		releaser := otherSite(t, sites, home, standby)
 		mustCreate(t, tc.node(home).NewHandle("creator"), lockID, "orphan", []int32{1}, sites)
 		rl, _ := mustAttach(t, tc.node(releaser).NewHandle("stranded"), lockID, "orphan")
 		settle()
@@ -304,7 +305,7 @@ func TestUndeliveredReleaseIsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.kill(home)
-		tc.kill(succ)
+		tc.kill(standby)
 
 		if err := rl.Unlock(ctx); err != nil {
 			t.Fatalf("unlock = %v, want nil: the release is the carriage's", err)
@@ -343,6 +344,81 @@ func TestUndeliveredReleaseIsCounted(t *testing.T) {
 			t.Fatalf("release failures = %d, want 1", got)
 		}
 	})
+}
+
+// TestReleaseBeforePromotionIsCounted kills a lock's home under its holder
+// and releases while the standby is alive but has not promoted yet. The
+// ladder used to end at the standby: its endpoint acknowledged the
+// RELEASELOCK, its manager dropped it as not its own, and the carriage
+// counted a delivery while the release was lost. The loss is now on the
+// failure counter, and the lease ends the hold: once the standby promotes
+// and the holder's site is gone too, the hold breaks and a reader gets the
+// lock at the last committed version.
+func TestReleaseBeforePromotionIsCounted(t *testing.T) {
+	const sites = 4
+	const lockID = wire.LockID(30)
+	opts := placementOpts()
+	opts.lease = 300 * time.Millisecond
+	// The carriage gives up on the dead home after five 25 ms sends; three
+	// missed standby probes at this cadence take over a second.
+	opts.sweep = 400 * time.Millisecond
+	opts.reqTO = 300 * time.Millisecond
+	tc := newTestCluster(t, sites, opts)
+	ctx := tctx(t)
+
+	home, _ := tc.node(1).homeOf(lockID)
+	standby := tc.standbyOf(home)
+	releaser := otherSite(t, sites, home, standby)
+	reader := otherSite(t, sites, home, standby, releaser)
+	// Created at the reader, so v1 outlives both kills.
+	rlR, rR := mustCreate(t, tc.node(reader).NewHandle("reader"), lockID, "lost", []int32{1}, sites)
+	rlW, rW := mustAttach(t, tc.node(releaser).NewHandle("writer"), lockID, "lost")
+	settle()
+	if err := rlW.Lock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rW.Content().IntsData()[0] = 2
+	settle() // the standby applies the streamed hold
+	tc.kill(home)
+
+	if err := rlW.Unlock(ctx); err != nil {
+		t.Fatalf("unlock = %v, want nil: the release is the carriage's", err)
+	}
+	failures := func() int64 { return opts.metrics.CounterValue(obs.CReleaseFailures) }
+	if !eventually(t, func() bool { return failures() == 1 }) {
+		t.Fatalf("release failures = %d, want the lost release counted once", failures())
+	}
+	if got := opts.metrics.CounterValue(obs.CStandbyPromotions); got != 0 {
+		t.Fatalf("standby promoted %d times before the carriage gave up: the window under test is gone", got)
+	}
+
+	tc.node(standby).PromoteStandby(home)
+	tc.kill(releaser)
+	if err := rlR.Lock(ctx); err != nil {
+		t.Fatalf("acquire behind the lost release: %v", err)
+	}
+	if got := rR.Content().IntsData()[0]; got != 1 || rlR.Version() != 1 {
+		t.Fatalf("reader holds %d at v%d, want the committed 1 at v1", got, rlR.Version())
+	}
+	if err := rlR.Unlock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := opts.metrics.CounterValue(obs.CLeaseBreaks); got != 1 {
+		t.Errorf("lease breaks = %d, want 1", got)
+	}
+	if got := failures(); got != 1 {
+		t.Errorf("release failures = %d, want 1", got)
+	}
+	mon := check.NewMonitor(0)
+	for _, ev := range tc.rec.Events() {
+		mon.Record(ev)
+		if ev.Kind == wire.HistRelease && ev.Site == releaser {
+			t.Errorf("the lost release reached a manager: %v", ev)
+		}
+	}
+	if cx := mon.Err(); cx != nil {
+		t.Errorf("monitor: %v", cx)
+	}
 }
 
 // TestCloseWaitsOutReleaseCarriage holds a release inside the carriage with
@@ -429,9 +505,9 @@ func TestForwardedReleaseRidesCarriage(t *testing.T) {
 
 			const lockID = wire.LockID(30)
 			home, _ := tc.node(1).homeOf(lockID)
-			succ := tc.node(1).Ring().Successor(home)
-			forwarder := otherSite(t, sites, home, succ)
-			releaser := otherSite(t, sites, home, succ, forwarder)
+			standby := tc.standbyOf(home)
+			forwarder := otherSite(t, sites, home, standby)
+			releaser := otherSite(t, sites, home, standby, forwarder)
 			mustCreate(t, tc.node(home).NewHandle("creator"), lockID, "moved", []int32{1}, sites)
 			hr := tc.node(releaser).NewHandle("holder")
 			rl, rep := mustAttach(t, hr, lockID, "moved")
@@ -450,7 +526,7 @@ func TestForwardedReleaseRidesCarriage(t *testing.T) {
 			tc.node(releaser).learnHome(lockID, forwarder, 9)
 			if !homeAlive {
 				tc.kill(home)
-				tc.kill(succ)
+				tc.kill(standby)
 			}
 
 			if err := rl.Unlock(ctx); err != nil {

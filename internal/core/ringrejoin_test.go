@@ -28,8 +28,8 @@ func TestRejoinedManagerDoesNotReclaimSlice(t *testing.T) {
 	ctx := tctx(t)
 
 	home, _ := tc.node(1).homeOf(lockID)
-	succ := tc.node(1).Ring().Successor(home)
-	third := otherSite(t, sites, home, succ)
+	standby := tc.standbyOf(home)
+	third := otherSite(t, sites, home, standby)
 
 	hc := tc.node(home).NewHandle("creator")
 	rlC, _ := mustCreate(t, hc, lockID, "slice", []int32{1}, sites)
@@ -39,7 +39,7 @@ func TestRejoinedManagerDoesNotReclaimSlice(t *testing.T) {
 	settle()
 
 	// Commit one write through the original home so its record (and the
-	// standby shadow streamed to succ) carries a real committed version.
+	// shadow streamed to the standby) carries a real committed version.
 	if err := rlW.Lock(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestRejoinedManagerDoesNotReclaimSlice(t *testing.T) {
 			net.Partition(netsim.NodeID(home), netsim.NodeID(i), true)
 		}
 	}
-	tc.node(succ).PromoteStandby(home)
+	tc.node(standby).PromoteStandby(home)
 	settle()
 
 	// The promoted standby serves the slice: a write from the third site
-	// lands at succ and advances the version past the partitioned
+	// lands at the standby and advances the version past the partitioned
 	// manager's record.
 	if err := rlW.Lock(ctx); err != nil {
 		t.Fatalf("acquire via promoted standby: %v", err)
@@ -92,7 +92,7 @@ func TestRejoinedManagerDoesNotReclaimSlice(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 
 	// The standby still owns the slice after the heal: acquires keep
-	// resolving to succ's record and its version keeps advancing.
+	// resolving to the standby's record and its version keeps advancing.
 	if err := rlW.Lock(ctx); err != nil {
 		t.Fatalf("acquire after heal: %v", err)
 	}
@@ -105,13 +105,13 @@ func TestRejoinedManagerDoesNotReclaimSlice(t *testing.T) {
 	}
 	settle()
 
-	succRec := tc.node(succ).Sync().lookupLock(lockID)
-	if succRec == nil {
+	standbyRec := tc.node(standby).Sync().lookupLock(lockID)
+	if standbyRec == nil {
 		t.Fatal("promoted standby lost the record")
 	}
-	succRec.mu.Lock()
-	succVersion := succRec.version
-	succRec.mu.Unlock()
+	standbyRec.mu.Lock()
+	succVersion := standbyRec.version
+	standbyRec.mu.Unlock()
 	if succVersion <= staleVersion {
 		t.Fatalf("standby record version %d never advanced past the pre-partition %d",
 			succVersion, staleVersion)

@@ -9,32 +9,32 @@ import (
 
 // TestLocksWhoseStandbyDiedStayUnreplicated pins the standby
 // re-replication gap in the consistent-hash home placement: a manager's
-// standby target (hs.succ) is computed once at startup and never again
-// (see newHomeState), and a standby's death triggers promotion of the
-// locks it *homed* but nothing for the locks it *shadowed*. So when site
-// V dies, the survivor W promotes V's own slice — but every lock homed
-// at V's predecessor P had its only shadow on V, and P keeps streaming
+// standby (homeState.standby) is chosen once, before its first stream, and
+// never again, and a standby's death triggers promotion of the locks it
+// *homed* but nothing for the locks it *shadowed*. So when site V dies,
+// its own standby W promotes V's slice — but every lock homed at a site P
+// that chose V had its only shadow on V, and P keeps streaming
 // StandbyUpdates into the void. Those locks run with no live replica of
 // their manager state until a migration moves them to a manager with a
-// live successor; a second failure (of P) in that window strands them.
+// live standby; a second failure (of P) in that window strands them.
 //
 // TRACKING: this test asserts today's behavior on purpose. When
-// re-replication after standby death lands (P recomputes its successor
-// over the live ring and re-streams its records — or promotion fans the
-// dead site's shadow set onward), flip the expectations below: P's
-// standby target should move off the dead site and W should hold a
-// shadow of the P-homed lock at the post-kill version.
+// re-replication after standby death lands (P chooses again over the live
+// ring and re-streams its records — or promotion fans the dead site's
+// shadow set onward), flip the expectations below: P's standby should
+// move off the dead site and a live site should hold a shadow of the
+// P-homed lock at the post-kill version.
 func TestLocksWhoseStandbyDiedStayUnreplicated(t *testing.T) {
 	const sites = 3
 	const lockP = wire.LockID(33)
 	tc := newTestCluster(t, sites, placementOpts())
 	ctx := tctx(t)
 
-	// Ring geometry: lockP is homed at P, whose successor (= standby) is
-	// the victim; the victim's own successor is the third site W, which
-	// will promote the victim's slice.
+	// Standby geometry: lockP is homed at P, whose standby is the victim;
+	// the victim's own standby W will promote the victim's slice. The
+	// writer sits at the site that is neither P nor the victim.
 	home, _ := tc.node(1).homeOf(lockP)
-	victim := tc.node(1).Ring().Successor(home)
+	victim := tc.standbyOf(home)
 	third := otherSite(t, sites, home, victim)
 
 	// A second lock homed at the victim contrasts the two fates: the
@@ -50,6 +50,7 @@ func TestLocksWhoseStandbyDiedStayUnreplicated(t *testing.T) {
 	if lockV == 0 {
 		t.Fatal("no lock hashes to the victim site")
 	}
+	w := tc.standbyOf(victim)
 
 	hcP := tc.node(home).NewHandle("creator-p")
 	mustCreate(t, hcP, lockP, "shadowed", []int32{1}, sites)
@@ -62,15 +63,15 @@ func TestLocksWhoseStandbyDiedStayUnreplicated(t *testing.T) {
 
 	// Commit one write on each so both homes stream real shadows: lockP's
 	// shadow lands on the victim, lockV's on W.
-	for _, w := range []struct {
+	for _, op := range []struct {
 		rl  *ReplicaLock
 		rep *Replica
 	}{{rlP, repP}, {rlV, repV}} {
-		if err := w.rl.Lock(ctx); err != nil {
+		if err := op.rl.Lock(ctx); err != nil {
 			t.Fatal(err)
 		}
-		w.rep.Content().IntsData()[0] = 2
-		if err := w.rl.Unlock(ctx); err != nil {
+		op.rep.Content().IntsData()[0] = 2
+		if err := op.rl.Unlock(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,16 +97,16 @@ func TestLocksWhoseStandbyDiedStayUnreplicated(t *testing.T) {
 	// committed versions before pulling the plug, so the promotion below
 	// restores current state rather than a stale in-flight snapshot.
 	if waitShadow(t, tc.node(victim), lockP, preVersion) == nil {
-		t.Fatalf("victim never received a v%d shadow of lock %d from its predecessor", preVersion, lockP)
+		t.Fatalf("victim never received a v%d shadow of lock %d from its home", preVersion, lockP)
 	}
-	if waitShadow(t, tc.node(third), lockV, committedV) == nil {
-		t.Fatalf("site %d never received a v%d shadow of lock %d from the victim", third, committedV, lockV)
+	if waitShadow(t, tc.node(w), lockV, committedV) == nil {
+		t.Fatalf("site %d never received a v%d shadow of lock %d from the victim", w, committedV, lockV)
 	}
 
 	// Fail-stop the victim and promote its slice, as the standby monitor
 	// would after missed probes.
 	tc.kill(victim)
-	tc.node(third).PromoteStandby(victim)
+	tc.node(w).PromoteStandby(victim)
 	settle()
 
 	// The victim's own locks live on: W serves lockV from the promoted
@@ -122,7 +123,7 @@ func TestLocksWhoseStandbyDiedStayUnreplicated(t *testing.T) {
 	}
 
 	// Commit a new version of lockP through its (still live) home. The
-	// home streams the standby update to its dead successor, where it is
+	// home streams the standby update to its dead standby, where it is
 	// silently lost.
 	if err := rlP.Lock(ctx); err != nil {
 		t.Fatalf("acquire lock %d at surviving home: %v", lockP, err)
@@ -141,19 +142,18 @@ func TestLocksWhoseStandbyDiedStayUnreplicated(t *testing.T) {
 		t.Fatalf("lockP's home never committed past v%d", preVersion)
 	}
 
-	// The gap itself. First half: the home's standby target still points
-	// at the dead site — nothing recomputes hs.succ over the live ring.
-	// (Flip to a live site once successor recomputation exists.)
-	hsP := tc.node(home).Sync().home
-	if hsP.succ != victim {
-		t.Fatalf("home's standby target moved from dead site %d to %d: "+
-			"successor recomputation appeared — update this test's expectations",
-			victim, hsP.succ)
+	// The gap itself. First half: the home's standby still is the dead
+	// site — nothing chooses again over the live ring. (Flip to a live site
+	// once re-choosing exists.)
+	if got := tc.standbyOf(home); got != victim {
+		t.Fatalf("home's standby moved from dead site %d to %d: "+
+			"standby re-choice appeared — update this test's expectations",
+			victim, got)
 	}
 
 	// Second half: no live site shadows lockP, so v%d exists only at its
-	// home. (Flip to a non-nil shadow at W carrying postVersion once
-	// re-replication after standby death exists.)
+	// home. (Flip to a non-nil shadow at a live site carrying postVersion
+	// once re-replication after standby death exists.)
 	if sh := shadowOf(tc.node(third), lockP); sh != nil {
 		t.Fatalf("site %d holds a shadow of lock %d (v%d): re-replication "+
 			"appeared — update this test's expectations", third, lockP, sh.rec.Version)

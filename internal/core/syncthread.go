@@ -222,17 +222,18 @@ func newSyncThread(n *Node, restore *SyncState) (*syncThread, error) {
 	aux.SetHandler(s.handleAux)
 	s.sweepWG.Add(1)
 	go s.leaseSweep()
-	if s.home != nil {
-		s.home.start()
-	}
 	return s, nil
 }
 
-// stop terminates the sweep goroutine. Outstanding completion workers are
-// not waited for: their sends fail fast once the endpoint closes, and
-// re-entering the state machine afterwards only touches memory.
+// stop terminates the sweep and standby-monitor goroutines. Outstanding
+// completion workers are not waited for: their sends fail fast once the
+// endpoint closes, and re-entering the state machine afterwards only
+// touches memory.
 func (s *syncThread) stop() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
+	if s.home != nil {
+		s.home.retire()
+	}
 	s.sweepWG.Wait()
 }
 
@@ -505,8 +506,8 @@ func (s *syncThread) onRelease(msg *wire.ReleaseLock) {
 		Aborted: msg.Aborted,
 		Sites:   relSites,
 	}
-	if hs := s.home; hs != nil && hs.succ != 0 && l.moved == nil && !l.frozen {
-		// Stream-first: the successor must hold this state before the
+	if hs := s.home; hs != nil && hs.hasStandby() && l.moved == nil && !l.frozen {
+		// Stream-first: the standby must hold this state before the
 		// release is durable. Recording first would open a window where
 		// the home dies with the release committed but the standby still
 		// showing the old holder and version — promotion would then
@@ -941,8 +942,8 @@ func (s *syncThread) checkHolder(l *syncLock, h *holderInfo) {
 		Kind: wire.HistBreak, Site: h.site, Thread: h.thread, Lock: l.id,
 	}
 	var actions []func()
-	if hs := s.home; hs != nil && hs.succ != 0 && l.moved == nil && !l.frozen {
-		// Stream-first, mirroring onRelease: the successor must see the
+	if hs := s.home; hs != nil && hs.hasStandby() && l.moved == nil && !l.frozen {
+		// Stream-first, mirroring onRelease: the standby must see the
 		// hold cleared and the site marked dirty before the break is
 		// durable, or a promotion could resurrect the broken hold and
 		// direct transfers from the contaminated copy. This worker runs

@@ -35,7 +35,6 @@ func timeoutCtx(d time.Duration) (context.Context, context.CancelFunc) {
 // machine, removes the optimistically installed hold, and grants the next
 // requester; the directive's outcome is then discarded.
 func (s *syncThread) deliverGrant(l *syncLock, req *lockRequest, h *holderInfo, g *wire.Grant, plan *transferPlan) {
-	deliverStart := time.Now()
 	var directive chan error
 	if plan != nil && plan.usable {
 		// Buffered: an undeliverable grant abandons the result, and the
@@ -47,10 +46,12 @@ func (s *syncThread) deliverGrant(l *syncLock, req *lockRequest, h *holderInfo, 
 	}
 	if hs := s.home; hs != nil {
 		// Stream the hold to the standby before the grant leaves: once
-		// the client holds the lock, the ring successor must already be
-		// able to restore the lease if this home dies.
+		// the client holds the lock, the standby must already be able to
+		// restore the lease if this home dies. Timed as standby_stream, so
+		// grant_deliver below is the GRANT's send alone.
 		hs.streamHoldSync(l)
 	}
+	deliverStart := time.Now()
 	crashed := s.node.fireFault(FaultContext{
 		Point: FPCrashBeforeGrant, Peer: req.site, Lock: l.id, Thread: req.thread, Version: g.Version,
 	}).Drop

@@ -21,6 +21,9 @@ type Snapshot struct {
 	// ShardDepths maps sync shard index (as text) to queued requests;
 	// only nonzero shards appear.
 	ShardDepths map[string]int64 `json:"shard_depths,omitempty"`
+	// StandbyRTT maps manager site (as text) to the probe round trip, in
+	// microseconds, to the standby it chose; only measured choices appear.
+	StandbyRTT map[string]int64 `json:"standby_rtt_us,omitempty"`
 	// Hists maps exported histogram names to their state.
 	Hists map[string]HistSnapshot `json:"hists"`
 	// Spans carries the most recent completed operation spans.
@@ -53,6 +56,14 @@ func (r *Registry) Snapshot() Snapshot {
 			s.ShardDepths[strconv.Itoa(i)] = v
 		}
 	}
+	for i := range r.standbyRTT {
+		if v := r.standbyRTT[i].Load(); v != 0 {
+			if s.StandbyRTT == nil {
+				s.StandbyRTT = make(map[string]int64)
+			}
+			s.StandbyRTT[strconv.Itoa(i)] = v / 1e3
+		}
+	}
 	for h := HistID(0); h < numHists; h++ {
 		s.Hists[h.Name()] = r.hists[h].snapshot()
 	}
@@ -69,7 +80,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 
 // WritePrometheus emits the snapshot in the Prometheus text exposition
 // format: counters and gauges as single series, histograms as cumulative
-// _bucket/_sum/_count series, shard depths as one labeled gauge.
+// _bucket/_sum/_count series, shard depths and standby round trips as
+// labeled gauges.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -87,6 +99,12 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		p("# TYPE mocha_sync_shard_queue_depth gauge\n")
 		for _, shard := range sortedKeys(s.ShardDepths) {
 			p("mocha_sync_shard_queue_depth{shard=%q} %d\n", shard, s.ShardDepths[shard])
+		}
+	}
+	if len(s.StandbyRTT) > 0 {
+		p("# TYPE mocha_standby_rtt_seconds gauge\n")
+		for _, home := range sortedKeys(s.StandbyRTT) {
+			p("mocha_standby_rtt_seconds{home=%q} %g\n", home, float64(s.StandbyRTT[home])/1e6)
 		}
 	}
 	histNames := make([]string, 0, len(s.Hists))

@@ -37,35 +37,41 @@ const (
 	// RELEASELOCK: part of HReleaseTotal with a fixed home, outside it
 	// under home placement, where Unlock does not wait for it.
 	HReleaseAck
+	// HStandbyStream is a home's synchronous record stream to its standby
+	// before a GRANT leaves (streamHoldSync): part of the requester's
+	// request RTT under home placement, not of HGrantDeliver.
+	HStandbyStream
 	numHists
 )
 
 var histNames = [numHists]string{
-	HAcquireTotal: "mocha_acquire_seconds",
-	HQueueWait:    "mocha_acquire_queue_wait_seconds",
-	HRequestRTT:   "mocha_acquire_request_rtt_seconds",
-	HTransferWait: "mocha_acquire_transfer_wait_seconds",
-	HApply:        "mocha_apply_seconds",
-	HReleaseTotal: "mocha_release_seconds",
-	HDisseminate:  "mocha_disseminate_seconds",
-	HDaemonPoll:   "mocha_daemon_poll_seconds",
-	HGrantDeliver: "mocha_grant_deliver_seconds",
-	HRelayHop:     "mocha_relay_hop_seconds",
-	HReleaseAck:   "mocha_release_ack_seconds",
+	HAcquireTotal:  "mocha_acquire_seconds",
+	HQueueWait:     "mocha_acquire_queue_wait_seconds",
+	HRequestRTT:    "mocha_acquire_request_rtt_seconds",
+	HTransferWait:  "mocha_acquire_transfer_wait_seconds",
+	HApply:         "mocha_apply_seconds",
+	HReleaseTotal:  "mocha_release_seconds",
+	HDisseminate:   "mocha_disseminate_seconds",
+	HDaemonPoll:    "mocha_daemon_poll_seconds",
+	HGrantDeliver:  "mocha_grant_deliver_seconds",
+	HRelayHop:      "mocha_relay_hop_seconds",
+	HReleaseAck:    "mocha_release_ack_seconds",
+	HStandbyStream: "mocha_standby_stream_seconds",
 }
 
 var phaseNames = [numHists]string{
-	HAcquireTotal: "acquire",
-	HQueueWait:    "queue_wait",
-	HRequestRTT:   "request_rtt",
-	HTransferWait: "transfer_wait",
-	HApply:        "apply",
-	HReleaseTotal: "release",
-	HDisseminate:  "disseminate",
-	HDaemonPoll:   "daemon_poll",
-	HGrantDeliver: "grant_deliver",
-	HRelayHop:     "relay_hop",
-	HReleaseAck:   "release_ack",
+	HAcquireTotal:  "acquire",
+	HQueueWait:     "queue_wait",
+	HRequestRTT:    "request_rtt",
+	HTransferWait:  "transfer_wait",
+	HApply:         "apply",
+	HReleaseTotal:  "release",
+	HDisseminate:   "disseminate",
+	HDaemonPoll:    "daemon_poll",
+	HGrantDeliver:  "grant_deliver",
+	HRelayHop:      "relay_hop",
+	HReleaseAck:    "release_ack",
+	HStandbyStream: "standby_stream",
 }
 
 // Name returns the histogram's exported name.

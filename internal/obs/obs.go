@@ -102,8 +102,8 @@ const (
 	CHandoffsOut
 	// CHandoffsIn counts lock records installed from a HandoffRecord.
 	CHandoffsIn
-	// CStandbyUpdates counts lock-record deltas streamed to the ring
-	// successor standby.
+	// CStandbyUpdates counts lock-record deltas streamed to a home's
+	// standby.
 	CStandbyUpdates
 	// CStandbyPromotions counts lock records promoted from standby
 	// shadows after a home crash.
@@ -116,9 +116,9 @@ const (
 	// out), tallied by the source daemon.
 	CTransferFailures
 	// CReleaseFailures counts RELEASELOCKs the release carriage could not
-	// deliver (home, re-resolved route and standby all unreachable, or the
-	// node closed first), tallied by the sending site; the hold then falls
-	// to its lease.
+	// deliver (home and re-resolved route both unreachable, or the node
+	// closed first), tallied by the sending site; the hold then falls to
+	// its lease.
 	CReleaseFailures
 	numCounters
 )
@@ -226,6 +226,7 @@ type Registry struct {
 	shardDepths [NumShardDepths]atomic.Int64
 	relayScores [NumRelayScores]atomic.Int64
 	homeLocks   [NumHomeLocks]atomic.Int64
+	standbyRTT  [NumHomeLocks]atomic.Int64 // nanoseconds
 	hists       [numHists]hist
 
 	spanHead atomic.Uint64
@@ -353,6 +354,25 @@ func (r *Registry) HomeLockValue(site uint32) int64 {
 		return 0
 	}
 	return r.homeLocks[site%NumHomeLocks].Load()
+}
+
+// StandbyRTTSet publishes the probe round trip to the standby a manager
+// site chose (0: chosen without a measurement, the ring-successor
+// fallback). Shares NumHomeLocks' folding.
+func (r *Registry) StandbyRTTSet(site uint32, d time.Duration) {
+	if r == nil {
+		return
+	}
+	r.standbyRTT[site%NumHomeLocks].Store(int64(d))
+}
+
+// StandbyRTTValue reads one manager site's published standby round trip
+// (0 on a nil registry or before the site chose).
+func (r *Registry) StandbyRTTValue(site uint32) time.Duration {
+	if r == nil {
+		return 0
+	}
+	return time.Duration(r.standbyRTT[site%NumHomeLocks].Load())
 }
 
 // Observe records one duration into a latency histogram.

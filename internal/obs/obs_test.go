@@ -223,6 +223,8 @@ func TestSnapshotAndWriters(t *testing.T) {
 	r.ShardDepthAdd(5, 3)
 	r.Observe(HApply, 2*time.Millisecond)
 	r.Observe(HReleaseAck, 24*time.Millisecond)
+	r.Observe(HStandbyStream, 600*time.Microsecond)
+	r.StandbyRTTSet(4, 600*time.Microsecond)
 	r.StartSpan("acquire", 1, 1).End(HAcquireTotal)
 
 	snap := r.Snapshot()
@@ -244,6 +246,9 @@ func TestSnapshotAndWriters(t *testing.T) {
 	if len(snap.Spans) != 1 {
 		t.Fatalf("snapshot spans = %d, want 1", len(snap.Spans))
 	}
+	if snap.StandbyRTT["4"] != 600 || len(snap.StandbyRTT) != 1 {
+		t.Fatalf("snapshot standby RTTs = %v, want home 4 at 600 us only", snap.StandbyRTT)
+	}
 
 	var jsonBuf strings.Builder
 	if err := snap.WriteJSON(&jsonBuf); err != nil {
@@ -251,6 +256,7 @@ func TestSnapshotAndWriters(t *testing.T) {
 	}
 	for _, want := range []string{
 		`"mocha_grants_total": 1`, `"mocha_release_failures_total": 1`, `"mocha_release_ack_seconds"`,
+		`"mocha_standby_stream_seconds"`, `"standby_rtt_us": {`, `"4": 600`,
 		`"mocha_sync_locks": 2`, `"spans"`,
 	} {
 		if !strings.Contains(jsonBuf.String(), want) {
@@ -267,6 +273,8 @@ func TestSnapshotAndWriters(t *testing.T) {
 		"# TYPE mocha_grants_total counter\nmocha_grants_total 1\n",
 		"# TYPE mocha_release_failures_total counter\nmocha_release_failures_total 1\n",
 		"mocha_release_ack_seconds_count 1",
+		"mocha_standby_stream_seconds_count 1",
+		"# TYPE mocha_standby_rtt_seconds gauge\n" + `mocha_standby_rtt_seconds{home="4"} 0.0006` + "\n",
 		"# TYPE mocha_sync_locks gauge\nmocha_sync_locks 2\n",
 		`mocha_sync_shard_queue_depth{shard="5"} 3`,
 		"# TYPE mocha_apply_seconds histogram",

@@ -52,9 +52,14 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// DefaultBucketWidth is Config.BucketWidth's default: the RTT distance
+// step that separates one locality band from the next. core names a home's
+// standby by the same width, so "near" means one thing everywhere.
+const DefaultBucketWidth = 12 * time.Millisecond
+
 func (c Config) withDefaults() Config {
 	if c.BucketWidth <= 0 {
-		c.BucketWidth = 12 * time.Millisecond
+		c.BucketWidth = DefaultBucketWidth
 	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.5

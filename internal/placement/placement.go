@@ -150,36 +150,20 @@ func (r *Ring) HomeExcluding(id wire.LockID, down map[wire.SiteID]bool) wire.Sit
 	return 0
 }
 
-// Successor returns the member that follows site in ascending ID order,
-// wrapping past the highest ID — the standby that receives the site's
-// lock-record stream. A ring with fewer than two members has no distinct
-// successor and returns 0.
-func (r *Ring) Successor(site wire.SiteID) wire.SiteID {
+// Successors returns every other member in ID-successor order from site:
+// ascending IDs after site, wrapping past the highest. It is the order in
+// which a home considers its standby candidates: core breaks ties between
+// equally near members by it, and its first entry — the ring successor —
+// is the standby of a home that measured nothing. Nil for a non-member or
+// a ring of one.
+func (r *Ring) Successors(site wire.SiteID) []wire.SiteID {
 	if len(r.sites) < 2 || !r.Contains(site) {
-		return 0
+		return nil
 	}
 	i := sort.Search(len(r.sites), func(i int) bool { return r.sites[i] > site })
-	if i == len(r.sites) {
-		i = 0
-	}
-	return r.sites[i]
-}
-
-// Predecessor returns the member whose Successor is site — the home a
-// standby watches. Returns 0 with fewer than two members.
-func (r *Ring) Predecessor(site wire.SiteID) wire.SiteID {
-	if len(r.sites) < 2 {
-		return 0
-	}
-	i := sort.Search(len(r.sites), func(i int) bool { return r.sites[i] >= site })
-	if i == len(r.sites) || r.sites[i] != site {
-		// Not a member: nothing watches for it.
-		return 0
-	}
-	if i == 0 {
-		return r.sites[len(r.sites)-1]
-	}
-	return r.sites[i-1]
+	out := make([]wire.SiteID, 0, len(r.sites)-1)
+	out = append(out, r.sites[i:]...)
+	return append(out, r.sites[:i-1]...)
 }
 
 // LocksOf partitions a set of locks by home site — the helper harnesses

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"reflect"
 	"testing"
 
 	"mocha/internal/wire"
@@ -87,36 +88,33 @@ func TestHomeExcludingMatchesRebuiltRing(t *testing.T) {
 	}
 }
 
-func TestSuccessorPredecessor(t *testing.T) {
-	r := New(sites(2, 5, 9), 0)
-	cases := []struct{ site, succ, pred wire.SiteID }{
-		{2, 5, 9},
-		{5, 9, 2},
-		{9, 2, 5},
+func TestSuccessors(t *testing.T) {
+	r := New(sites(2, 5, 9, 11), 0)
+	cases := []struct {
+		site  wire.SiteID
+		order []wire.SiteID
+	}{
+		{2, sites(5, 9, 11)},
+		{5, sites(9, 11, 2)},
+		{9, sites(11, 2, 5)},
+		{11, sites(2, 5, 9)},
 	}
 	for _, c := range cases {
-		if got := r.Successor(c.site); got != c.succ {
-			t.Fatalf("Successor(%d) = %d, want %d", c.site, got, c.succ)
-		}
-		if got := r.Predecessor(c.site); got != c.pred {
-			t.Fatalf("Predecessor(%d) = %d, want %d", c.site, got, c.pred)
+		if got := r.Successors(c.site); !reflect.DeepEqual(got, c.order) {
+			t.Fatalf("Successors(%d) = %v, want %v", c.site, got, c.order)
 		}
 	}
-	if got := r.Successor(7); got != 0 {
-		t.Fatalf("Successor of non-member = %d, want 0", got)
+	if got := r.Successors(7); got != nil {
+		t.Fatalf("Successors of non-member = %v, want none", got)
 	}
-	if got := r.Predecessor(7); got != 0 {
-		t.Fatalf("Predecessor of non-member = %d, want 0", got)
-	}
-	single := New(sites(3), 0)
-	if single.Successor(3) != 0 || single.Predecessor(3) != 0 {
-		t.Fatalf("singleton ring must have no distinct successor/predecessor")
+	if got := New(sites(3), 0).Successors(3); got != nil {
+		t.Fatalf("singleton ring: Successors = %v, want none", got)
 	}
 }
 
 func TestEmptyAndZeroSites(t *testing.T) {
 	r := New(nil, 0)
-	if r.Len() != 0 || r.Home(7) != 0 || r.Successor(1) != 0 {
+	if r.Len() != 0 || r.Home(7) != 0 || r.Successors(1) != nil {
 		t.Fatalf("empty ring should map everything to 0")
 	}
 	r2 := New(sites(0, 0), 0)

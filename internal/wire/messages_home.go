@@ -3,10 +3,10 @@ package wire
 // Home placement messages. With consistent-hash lock placement enabled the
 // lock namespace is partitioned across manager sites and a lock's home can
 // move at runtime — migrating toward its observed access locality, or
-// failing over to the ring-successor standby when the home dies. These
+// failing over to the home's standby when the home dies. These
 // messages carry the moves: HOMEHINT redirects a client that asked the
 // wrong manager, HANDOFF ships a frozen lock record between managers,
-// STANDBY streams record deltas to the ring successor, and HOMEMOVED
+// STANDBY streams record deltas to the home's standby, and HOMEMOVED
 // broadcasts a promotion so every site updates its routing table.
 
 // HeldLease is a hold (exclusive holder or reader) serialized inside a
@@ -202,8 +202,9 @@ func (m *HandoffAck) decode(r *Reader) error {
 	return r.Err()
 }
 
-// StandbyUpdate streams one lock record from a home to its ring-successor
-// standby after a state-changing operation. Best-effort and idempotent:
+// StandbyUpdate streams one lock record from a home to its standby (the
+// nearest ring member the home measured) after a state-changing operation.
+// The first one from a home also tells the standby to start watching it. Best-effort and idempotent:
 // the standby just overwrites its shadow copy, and a promotion installs
 // whatever shadows it holds. Delete retires a shadow when the home GCs an
 // empty record.

@@ -356,16 +356,20 @@ func WithDisseminationTree() Option { return func(o *options) { o.tree = true } 
 // WithHomePlacement replaces the fixed lock home of the paper's design
 // with a partitioned, mobile lock namespace: lock records are spread over
 // every site by a consistent-hash ring, each home migrates a lock toward
-// the site that dominates its accesses, streams record deltas to its ring
-// successor, and that standby promotes the records — leases, version
-// floors, and dirty sets intact — if the home dies. With placement on,
-// ReplicaLock.Unlock returns once the new version is disseminated and the
-// release is on its way: the home's acknowledgment — a wide-area round
-// trip — is awaited in the background, this site's next Lock of the same
-// lock waits for it, and a release that cannot be delivered is counted
-// (mocha_release_failures_total) and left to the lock's lease. Off by
-// default (the paper's single fixed home, whose Unlock blocks until the
-// home acknowledged and reports an unreachable home as an error).
+// the site that dominates its accesses, streams record deltas to its
+// nearest live member (timed once, by one probe per ring member; ties and
+// silence fall back to the next site by ID), and that standby promotes the
+// records — leases, version floors, and dirty sets intact — if the home
+// dies. A home and its standby therefore usually share a region: a whole
+// region's outage strands that region's homes until one returns. With
+// placement on, ReplicaLock.Unlock returns once the new version is
+// disseminated and the release is on its way: the home's acknowledgment —
+// a wide-area round trip — is awaited in the background, this site's next
+// Lock of the same lock waits for it, and a release that cannot be
+// delivered is counted (mocha_release_failures_total) and left to the
+// lock's lease. Off by default (the paper's single fixed home, whose
+// Unlock blocks until the home acknowledged and reports an unreachable
+// home as an error).
 func WithHomePlacement() Option { return func(o *options) { o.placement = true } }
 
 // WithDurableStore backs every site's replica state with a log-structured
