@@ -300,7 +300,7 @@ func (c *checker) step(ev wire.HistoryEvent) *Violation {
 		ls := c.lock(ev.Lock)
 		ls.know(ev.Version, ev.Site)
 		// A publish from a thread the checker no longer tracks as holding
-		// (its hold was broken, or voided by a surrogate restore) is an
+		// (its hold was broken, or not carried by a promoted record) is an
 		// orphan: the synchronization thread will ignore its release, so its
 		// bytes never define the version — record them as weak context only.
 		auth := ev.Note == "create" ||
@@ -579,10 +579,10 @@ func (c *checker) onHandoff(ev wire.HistoryEvent) *Violation {
 
 // onHome replays a home-chain event: a lock's record materialising at a
 // manager site. Registration seeds the chain; handoff-install extends it
-// (only at the site the preceding HistHandoff named); standby-promote
-// repairs it after a home died, so it is accepted from any site, and any
-// in-flight handoff expectation is left armed — the old home's send may
-// still land at its target afterwards.
+// (only at the site the preceding HistHandoff named); standby-promote — a
+// standby's or a surrogate's — repairs it after a home died, so it is
+// accepted from any site, and any in-flight handoff expectation is left
+// armed — the old home's send may still land at its target afterwards.
 func (c *checker) onHome(ev wire.HistoryEvent) *Violation {
 	switch ev.Note {
 	case "handoff-install":
@@ -609,15 +609,17 @@ func (c *checker) onHome(ev wire.HistoryEvent) *Violation {
 
 // onRecover re-baselines the lock after failure handling rewrote its
 // committed state: a daemon-poll verdict ("poll-best"), the no-surviving-
-// copy fallback ("weakened-local"), or a surrogate restoring from a
-// snapshot ("surrogate-restore", which also voids unrecovered holds).
+// copy fallback ("weakened-local"), or a dead home's record promoted
+// elsewhere ("standby-promote": a standby's shadow, or a surrogate's
+// snapshot).
 func (c *checker) onRecover(ev wire.HistoryEvent) *Violation {
 	ls := c.lock(ev.Lock)
 	if ev.Note == "standby-promote" && ev.Version < ls.committed {
 		// A standby's shadow may run ahead of the history (release state
 		// streams to the standby before it is recorded) but never
-		// behind it: promoting a shadow below the committed version means
-		// a committed number would be re-issued to the next holder.
+		// behind it, and a surrogate's snapshot must be no older than the
+		// last commit: promoting a record below the committed version
+		// means a committed number would be re-issued to the next holder.
 		return violate(ErrVersionRegress,
 			fmt.Sprintf("standby promotion of lock %d restores v%d behind the committed v%d",
 				ev.Lock, ev.Version, ls.committed), ev)
@@ -630,25 +632,16 @@ func (c *checker) onRecover(ev wire.HistoryEvent) *Violation {
 		// local bytes redefine it.
 		delete(ls.shadow, ev.Version)
 		ls.knownAt[ev.Version] = map[wire.SiteID]bool{ev.Site: true}
-	case "surrogate-restore":
-		// Transient state (holds, queue) is deliberately not recovered;
-		// surviving threads re-issue their requests.
-		ls.holder = nil
-		ls.readers = make(map[wire.ThreadID]*hold)
-		ls.pending = make(map[wire.ThreadID]wire.HistoryEvent)
-		for _, site := range ev.Sites.Sites() {
-			ls.know(ev.Version, site)
-		}
 	case "standby-promote":
-		// A home's standby restored the lock from its streamed shadow.
-		// Unlike a surrogate restore, leases survive: the shadow carries
-		// the holder and readers (ev.Thread names the restored exclusive
-		// holder), so matching holds are kept — only the version baseline
-		// and up-to-date set re-anchor to the shadow. A tracked holder
-		// the shadow does NOT carry did not survive the dead home: either
-		// its grant was recorded but never streamed (and delivery follows
-		// the stream, so no client holds it), or its release reached the
-		// standby without its record. Its uncommitted publishes stop
+		// A dead home's record was promoted elsewhere. Leases survive: the
+		// record carries the holder and readers (ev.Thread names the
+		// restored exclusive holder), so matching holds are kept — only the
+		// version baseline and up-to-date set re-anchor to the record. A
+		// tracked holder the record does NOT carry did not survive the dead
+		// home: its grant was recorded but never streamed (and delivery
+		// follows the stream, so no client holds it), its release reached
+		// the standby without its record, or it was granted after the
+		// surrogate's snapshot was taken. Its uncommitted publishes stop
 		// defining their versions, exactly as on a lease break.
 		for _, site := range ev.Sites.Sites() {
 			ls.know(ev.Version, site)

@@ -330,18 +330,3 @@ func TestCheckWeakenedLocalRedefines(t *testing.T) {
 		t.Fatalf("weakened-local history flagged: %v", v)
 	}
 }
-
-func TestCheckSurrogateRestoreVoidsHolds(t *testing.T) {
-	evs := []wire.HistoryEvent{
-		{Kind: wire.HistAcquire, Site: 1, Thread: tA, Lock: 9},
-		{Kind: wire.HistGrant, Site: 1, Thread: tA, Lock: 9},
-		{Kind: wire.HistRecover, Site: 2, Lock: 9, Version: 0, Note: "surrogate-restore"},
-		// The old holder is gone from the surrogate's state; a new grant is
-		// legitimate, not a dual hold.
-		{Kind: wire.HistAcquire, Site: 2, Thread: tB, Lock: 9},
-		{Kind: wire.HistGrant, Site: 2, Thread: tB, Lock: 9},
-	}
-	if v := Check(seq(evs)); v != nil {
-		t.Fatalf("post-surrogate grant flagged: %v", v)
-	}
-}

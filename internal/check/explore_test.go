@@ -556,12 +556,19 @@ func (e *explorer) worker(site wire.SiteID, idx int) {
 func (e *explorer) run() []wire.HistoryEvent {
 	defer func() {
 		e.mu.Lock()
+		var live []*core.Node
 		for site, node := range e.nodes {
 			if !e.killed[site] {
-				_ = node.Close()
+				live = append(live, node)
 			}
 		}
 		e.mu.Unlock()
+		// Closed outside e.mu: Close waits out the node's release carriage,
+		// and a carriage goroutine (a late grant handed back, say) may be
+		// inside the fault hook, waiting for e.mu.
+		for _, node := range live {
+			_ = node.Close()
+		}
 		_ = e.sn.Close()
 	}()
 

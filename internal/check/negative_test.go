@@ -92,6 +92,32 @@ func TestCheckNegativeTable(t *testing.T) {
 			want: nil,
 		},
 		{
+			name: "surrogate restored from a snapshot older than the last commit",
+			evs: append(append(homePrefix(), cleanPrefix()...),
+				// cleanPrefix committed v2 at site 1; the snapshot was taken
+				// at v1, and its high-water mark would let the next writer
+				// publish v2 again.
+				wire.HistoryEvent{Kind: wire.HistRecover, Site: 2, Lock: 9, Version: 1,
+					Note: "standby-promote", Sites: wire.NewSiteSet(1)},
+				wire.HistoryEvent{Kind: wire.HistHome, Site: 2, Lock: 9, Note: "standby-promote"},
+			),
+			want: ErrVersionRegress,
+		},
+		{
+			name: "promotion voids a hold its record does not carry",
+			evs: []wire.HistoryEvent{
+				{Kind: wire.HistAcquire, Site: 1, Thread: tA, Lock: 9},
+				{Kind: wire.HistGrant, Site: 1, Thread: tA, Lock: 9},
+				// A surrogate's snapshot from before the grant: the old
+				// holder is gone from its record, so a new grant is
+				// legitimate, not a dual hold.
+				{Kind: wire.HistRecover, Site: 2, Lock: 9, Version: 0, Note: "standby-promote"},
+				{Kind: wire.HistAcquire, Site: 2, Thread: tB, Lock: 9},
+				{Kind: wire.HistGrant, Site: 2, Thread: tB, Lock: 9},
+			},
+			want: nil,
+		},
+		{
 			name: "home chain: handoff from a site that is not home",
 			evs: append(homePrefix(),
 				wire.HistoryEvent{Kind: wire.HistHandoff, Site: 2, Lock: 9, Sites: wire.NewSiteSet(3)},

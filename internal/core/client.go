@@ -141,7 +141,7 @@ func (c *client) autoRelease(g *wire.Grant) {
 // carryRelease hands one RELEASELOCK to the release carriage and returns
 // at once: a tracked goroutine runs first (when given — a forwarding home's
 // re-ship insurance, which must reach the new home ahead of the release),
-// sends the release up the sendToSync ladder (home, re-resolved route),
+// sends the release up the sendToHome ladder (home, re-resolved route),
 // tallies the outcome, and then calls settle with it (when given
 // — the releaser's commit-and-reopen-the-gate step). The ladder runs on the
 // client's own context, not the caller's: a release whose Unlock has already
@@ -179,7 +179,7 @@ func (c *client) carryRelease(rel *wire.ReleaseLock, first func(), settle func(e
 			return
 		}
 		start := time.Now()
-		err := c.sendToSync(c.carriage.ctx, rel)
+		err := c.sendToHome(c.carriage.ctx, rel, rel.Lock)
 		if err == nil {
 			c.node.obs().Observe(obs.HReleaseAck, time.Since(start))
 		}
@@ -188,70 +188,21 @@ func (c *client) carryRelease(rel *wire.ReleaseLock, first func(), settle func(e
 	return done
 }
 
-// sendToSync delivers a control message to the synchronization thread,
-// retrying once against a refreshed address if the current one is
-// unreachable — "application threads which time out attempting to contact
-// the failed synchronization thread can query the local daemon thread to
-// obtain the location of the newly created surrogate".
-func (c *client) sendToSync(ctx context.Context, p wire.Payload) error {
-	if c.node.ring != nil {
-		if lock, ok := lockOfPayload(p); ok {
-			return c.sendToHome(ctx, p, lock)
-		}
-	}
-	// Control requests fit one fragment; let mnet encode them in place
-	// instead of marshalling to an intermediate blob.
-	app := wire.Appender{P: p}
-	addr := c.node.currentSyncAddr()
-
-	sendCtx, cancel := context.WithTimeout(ctx, c.node.cfg.RequestTimeout)
-	err := c.port.SendAppender(sendCtx, addr, app)
-	cancel()
-	if err == nil {
-		return nil
-	}
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-
-	refreshed := c.node.currentSyncAddr()
-	if refreshed == addr {
-		return fmt.Errorf("%w: %v", ErrNoSync, err)
-	}
-	if c.node.log.On() {
-		c.node.log.Logf("client", "retrying %s against surrogate at %s", p.Kind(), refreshed)
-	}
-	sendCtx, cancel = context.WithTimeout(ctx, c.node.cfg.RequestTimeout)
-	defer cancel()
-	if err := c.port.SendAppender(sendCtx, refreshed, app); err != nil {
-		return fmt.Errorf("%w: %v", ErrNoSync, err)
-	}
-	return nil
-}
-
-// lockOfPayload extracts the lock a control message is about, for
-// per-lock home routing.
-func lockOfPayload(p wire.Payload) (wire.LockID, bool) {
-	switch m := p.(type) {
-	case *wire.AcquireLock:
-		return m.Lock, true
-	case *wire.ReleaseLock:
-		return m.Lock, true
-	case *wire.RegisterReplica:
-		return m.Lock, true
-	}
-	return 0, false
-}
-
 // sendToHome routes a control message to the lock's current best-known
 // home manager. An unreachable home is retried against a re-resolved
-// route: the HomeMoved broadcast of a standby that promoted the lock may
-// have landed meanwhile. There is no third rung. Nobody but the home knows
-// its standby, and a standby that has not promoted yet would acknowledge
-// the frame and then drop it as not its own — a release counted delivered
-// and lost. Until the broadcast lands, the message fails here and the
-// caller's own recovery takes over (lease, retry).
+// route: the HomeMoved broadcast of a standby that promoted the lock, or of
+// a surrogate that took over the slice, may have landed meanwhile — the
+// paper's "application threads which time out attempting to contact the
+// failed synchronization thread can query the local daemon thread to
+// obtain the location of the newly created surrogate". There is no third
+// rung. Nobody but the home knows its standby, and a standby that has not
+// promoted yet would acknowledge the frame and then drop it as not its own
+// — a release counted delivered and lost. Until the broadcast lands, the
+// message fails here and the caller's own recovery takes over (lease,
+// retry).
 func (c *client) sendToHome(ctx context.Context, p wire.Payload, lock wire.LockID) error {
+	// Control requests fit one fragment; let mnet encode them in place
+	// instead of marshalling to an intermediate blob.
 	app := wire.Appender{P: p}
 	try := func(site wire.SiteID) error {
 		addr, err := c.node.syncAddrOf(site)

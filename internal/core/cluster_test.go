@@ -221,3 +221,11 @@ func eventually(t *testing.T, cond func() bool) bool {
 	}
 	return cond()
 }
+
+// isAdopted reports whether a manager adopted a lock the ring hashes
+// elsewhere (by handoff or promotion).
+func (hs *homeState) isAdopted(lock wire.LockID) bool {
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	return hs.adopted[lock]
+}

@@ -103,14 +103,15 @@ type Config struct {
 	// Directory maps every site to its endpoint address, as read from the
 	// host file.
 	Directory map[wire.SiteID]string
-	// IsHome starts the synchronization thread on this node.
+	// IsHome starts the synchronization thread on this node. Every ring
+	// member runs one regardless.
 	IsHome bool
-	// HomePlacement replaces the fixed home site with a consistent-hash
-	// ring over every site in the directory: each runs a synchronization
-	// thread for its slice of the lock namespace, lock homes migrate toward
-	// observed access locality, and each home streams record deltas to its
-	// nearest live ring member for standby failover. Off by default — the
-	// paper's fixed-home baseline.
+	// HomePlacement spreads the lock namespace over a consistent-hash ring
+	// of every site in the directory: each runs a synchronization thread
+	// for its slice, lock homes migrate toward observed access locality,
+	// and each home streams record deltas to its nearest live ring member
+	// for standby failover. Off by default: the ring holds the paper's
+	// fixed home site alone, which has no standby and nowhere to migrate.
 	HomePlacement bool
 	// Codec marshals replica content; all sites must agree.
 	Codec marshal.Codec
@@ -262,7 +263,7 @@ type Node struct {
 	daemon *daemon
 	client *client
 	xfer   *transferService
-	sync   *syncThread // nil unless home or surrogate
+	sync   *syncThread // nil unless a manager site or surrogate
 
 	// store is the replica-state store behind the daemon: the in-memory
 	// baseline by default, the durable write-ahead log when StoreDir is
@@ -271,29 +272,41 @@ type Node struct {
 
 	done chan struct{}
 
-	// ring partitions the lock namespace across manager sites when home
-	// placement is on; nil means the fixed-home baseline.
+	// ring partitions the lock namespace across manager sites: every site
+	// in the directory under HomePlacement, the paper's fixed home site
+	// alone otherwise — a ring of one.
 	ring *placement.Ring
+	// syncAddrs is every site's synchronization-thread port address,
+	// resolved once: each control message is sent to one.
+	syncAddrs map[wire.SiteID]string
 
 	mu         sync.Mutex
 	closed     bool
-	syncAddr   string
-	syncEpoch  uint32
 	nextThread uint32
 	lockLocals map[wire.LockID]*lockLocal
 	cached     map[string]*Replica
 
-	// homeMu guards homeOverrides: per-lock home routes learned from
-	// NackNotHome redirects, HomeHints, and HomeMoved broadcasts. They
-	// override the ring default when their epoch is at least as new.
+	// homeMu guards the learned home routes. homeOverrides are per-lock
+	// routes from NackNotHome redirects, HomeHints, and HomeMoved
+	// broadcasts; they override the ring default when their epoch is at
+	// least as new. slice is the one whole-slice route, installed by a
+	// surrogate's broadcast: every lock the ring hashes to slice.from and
+	// no per-lock route names lives at slice.to.
 	homeMu        sync.Mutex
 	homeOverrides map[wire.LockID]homeOverride
+	slice         sliceRoute
 }
 
 // homeOverride is one learned per-lock home route.
 type homeOverride struct {
 	to    wire.SiteID
 	epoch uint32
+}
+
+// sliceRoute moves a ring member's whole slice to another manager.
+type sliceRoute struct {
+	from, to wire.SiteID
+	epoch    uint32
 }
 
 // NewNode builds and starts a site.
@@ -308,8 +321,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if len(cfg.Directory) == 0 {
 		return nil, errors.New("core: config needs a site directory")
 	}
-	home, ok := cfg.Directory[wire.HomeSite]
-	if !ok {
+	if _, ok := cfg.Directory[wire.HomeSite]; !ok {
 		return nil, errors.New("core: directory has no home site")
 	}
 	if (cfg.Mode == ModeHybrid || cfg.Mode == ModeAdaptive) && cfg.Stack == nil {
@@ -324,24 +336,26 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 
 	n := &Node{
-		cfg:        cfg,
-		done:       make(chan struct{}),
-		ep:         cfg.Endpoint,
-		log:        cfg.Log,
-		metrics:    cfg.Metrics,
-		syncAddr:   mnet.JoinAddr(home, PortSync),
-		syncEpoch:  1,
-		lockLocals: make(map[wire.LockID]*lockLocal),
-		cached:     make(map[string]*Replica),
+		cfg:           cfg,
+		done:          make(chan struct{}),
+		ep:            cfg.Endpoint,
+		log:           cfg.Log,
+		metrics:       cfg.Metrics,
+		syncAddrs:     make(map[wire.SiteID]string, len(cfg.Directory)),
+		lockLocals:    make(map[wire.LockID]*lockLocal),
+		cached:        make(map[string]*Replica),
+		homeOverrides: make(map[wire.LockID]homeOverride),
 	}
+	for site, addr := range cfg.Directory {
+		n.syncAddrs[site] = mnet.JoinAddr(addr, PortSync)
+	}
+	// The fixed home is a ring of one: with a single member every lock
+	// hashes to it, so one virtual node suffices.
+	members, vnodes := []wire.SiteID{wire.HomeSite}, 1
 	if cfg.HomePlacement {
-		members := make([]wire.SiteID, 0, len(cfg.Directory))
-		for site := range cfg.Directory {
-			members = append(members, site)
-		}
-		n.ring = placement.New(members, placement.DefaultVirtualNodes)
-		n.homeOverrides = make(map[wire.LockID]homeOverride)
+		members, vnodes = n.Sites(), placement.DefaultVirtualNodes
 	}
+	n.ring = placement.New(members, vnodes)
 
 	// The store opens — and replays its log — before the daemon starts, so
 	// a version poll can never observe a half-recovered site.
@@ -359,8 +373,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if n.xfer, err = newTransferService(n); err != nil {
 		return nil, fmt.Errorf("core: start transfer service: %w", err)
 	}
-	if cfg.IsHome || (n.ring != nil && n.ring.Contains(cfg.Site)) {
-		if n.sync, err = newSyncThread(n, nil); err != nil {
+	if cfg.IsHome || n.ring.Contains(cfg.Site) {
+		if n.sync, err = newSyncThread(n, 1); err != nil {
 			return nil, fmt.Errorf("core: start synchronization thread: %w", err)
 		}
 	}
@@ -379,8 +393,8 @@ func (n *Node) Log() *eventlog.Logger { return n.log }
 // Mode returns the replica transfer mode.
 func (n *Node) Mode() TransferMode { return n.cfg.Mode }
 
-// Sync returns the local synchronization thread, or nil if this node is
-// not (currently) the home.
+// Sync returns the local synchronization thread, or nil if this node runs
+// none.
 func (n *Node) Sync() *syncThread {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -422,41 +436,8 @@ func (n *Node) isClosed() bool {
 	return n.closed
 }
 
-// currentSyncAddr returns the synchronization thread's address, which can
-// change when a surrogate takes over.
-func (n *Node) currentSyncAddr() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.syncAddr
-}
-
-// SyncAddr exposes the current synchronization-thread address.
-func (n *Node) SyncAddr() string { return n.currentSyncAddr() }
-
-// SyncEpoch exposes the current synchronization-thread epoch.
-func (n *Node) SyncEpoch() uint32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.syncEpoch
-}
-
 // Done is closed when the node shuts down.
 func (n *Node) Done() <-chan struct{} { return n.done }
-
-// setSyncAddr installs a new synchronization-thread location (SyncMoved).
-// Stale epochs are ignored.
-func (n *Node) setSyncAddr(addr string, epoch uint32) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if epoch < n.syncEpoch {
-		return
-	}
-	n.syncAddr = addr
-	n.syncEpoch = epoch
-	if n.log.On() {
-		n.log.Logf("sync", "synchronization thread moved to %s (epoch %d)", addr, epoch)
-	}
-}
 
 // endpointAddr resolves a site's endpoint address from the directory.
 func (n *Node) endpointAddr(site wire.SiteID) (string, error) {
@@ -494,24 +475,24 @@ func (n *Node) xferAddr(site wire.SiteID) (string, error) {
 	return mnet.JoinAddr(ep, PortXfer), nil
 }
 
-// syncAddrOf resolves a site's synchronization-thread port address (home
-// placement: any manager site can run one).
+// syncAddrOf resolves a site's synchronization-thread port address.
 func (n *Node) syncAddrOf(site wire.SiteID) (string, error) {
-	ep, err := n.endpointAddr(site)
-	if err != nil {
-		return "", err
+	addr, ok := n.syncAddrs[site]
+	if !ok {
+		return "", fmt.Errorf("core: site %d not in directory", site)
 	}
-	return mnet.JoinAddr(ep, PortSync), nil
+	return addr, nil
 }
 
-// Ring exposes the home-placement ring (nil when placement is off).
+// Ring exposes the home-placement ring: the fixed home site alone unless
+// HomePlacement is on.
 func (n *Node) Ring() *placement.Ring { return n.ring }
 
 // learnHome installs a per-lock home route learned from a redirect, hint,
 // or promotion broadcast. Routes with an epoch at least as new win; ring
 // defaults travel as epoch 0 and so never displace a learned route.
 func (n *Node) learnHome(lock wire.LockID, home wire.SiteID, epoch uint32) {
-	if n.ring == nil || home == 0 {
+	if home == 0 {
 		return
 	}
 	n.homeMu.Lock()
@@ -522,19 +503,53 @@ func (n *Node) learnHome(lock wire.LockID, home wire.SiteID, epoch uint32) {
 	n.homeMu.Unlock()
 }
 
-// homeOf resolves a lock's current best-known home site and route epoch.
-// With placement off it is always the fixed home site.
-func (n *Node) homeOf(lock wire.LockID) (wire.SiteID, uint32) {
-	if n.ring == nil {
-		return wire.HomeSite, 0
+// learnSlice installs the whole-slice route a surrogate broadcast: from's
+// ring slice is managed at to. The newest epoch wins.
+func (n *Node) learnSlice(from, to wire.SiteID, epoch uint32) {
+	if to == 0 {
+		return
 	}
 	n.homeMu.Lock()
-	ov, ok := n.homeOverrides[lock]
+	if epoch >= n.slice.epoch {
+		n.slice = sliceRoute{from: from, to: to, epoch: epoch}
+	}
 	n.homeMu.Unlock()
-	if ok {
+	if n.log.On() {
+		n.log.Logf("sync", "site %d's slice is managed at site %d (epoch %d)", from, to, epoch)
+	}
+}
+
+// homeOf resolves a lock's current best-known home site and route epoch:
+// a per-lock route, else the slice route covering the lock's ring home,
+// else the ring home itself at epoch 0.
+func (n *Node) homeOf(lock wire.LockID) (wire.SiteID, uint32) {
+	member := n.ring.Home(lock)
+	n.homeMu.Lock()
+	defer n.homeMu.Unlock()
+	if ov, ok := n.homeOverrides[lock]; ok {
 		return ov.to, ov.epoch
 	}
-	return n.ring.Home(lock), 0
+	return n.sliceHomeLocked(member)
+}
+
+// HomeAddr resolves where the synchronization thread managing the fixed
+// home's slice runs — site 1, or the surrogate that took the slice over —
+// and that route's epoch.
+func (n *Node) HomeAddr() (string, uint32) {
+	n.homeMu.Lock()
+	site, epoch := n.sliceHomeLocked(wire.HomeSite)
+	n.homeMu.Unlock()
+	addr, _ := n.syncAddrOf(site)
+	return addr, epoch
+}
+
+// sliceHomeLocked applies the slice route to a ring member; the caller
+// holds homeMu.
+func (n *Node) sliceHomeLocked(member wire.SiteID) (wire.SiteID, uint32) {
+	if sr := n.slice; sr.from == member {
+		return sr.to, sr.epoch
+	}
+	return member, 0
 }
 
 // RuntimeAddr resolves a site's runtime port address (used by package

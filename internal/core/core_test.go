@@ -369,9 +369,9 @@ func TestPendingPayloadAppliedOnAssociate(t *testing.T) {
 	}
 	_ = probe
 	// Register site 2 as a sharer via a bare registration.
-	if err := tc.node(2).client.sendToSync(ctx, &wire.RegisterReplica{
+	if err := tc.node(2).client.sendToHome(ctx, &wire.RegisterReplica{
 		Lock: 13, Site: 2, Names: []string{"late"},
-	}); err != nil {
+	}, 13); err != nil {
 		t.Fatal(err)
 	}
 	settle()
@@ -732,8 +732,8 @@ func TestAccessors(t *testing.T) {
 	if ModeMNet.String() != "mocha-basic" || ModeAdaptive.String() != "adaptive" || TransferMode(99).String() == "" {
 		t.Error("mode names wrong")
 	}
-	if n.SyncAddr() == "" || n.SyncEpoch() != 1 {
-		t.Errorf("sync addr/epoch = %q/%d", n.SyncAddr(), n.SyncEpoch())
+	if addr, epoch := n.HomeAddr(); addr == "" || epoch != 0 {
+		t.Errorf("home addr/epoch = %q/%d", addr, epoch)
 	}
 	if n.RequestTimeout() <= 0 {
 		t.Error("RequestTimeout zero")

@@ -83,11 +83,14 @@ func (d *daemon) handle(m mnet.Message) {
 		d.replyTo(m.From, reply)
 	case *wire.Heartbeat:
 		d.replyTo(m.From, &wire.HeartbeatAck{Nonce: msg.Nonce, Site: d.node.cfg.Site})
-	case *wire.SyncMoved:
-		d.node.setSyncAddr(msg.Addr, msg.Epoch)
 	case *wire.HomeHint:
 		d.node.learnHome(msg.Lock, msg.Home, msg.Epoch)
 	case *wire.HomeMoved:
+		if len(msg.Locks) == 0 {
+			// A surrogate took over From's whole slice.
+			d.node.learnSlice(msg.From, msg.To, msg.Epoch)
+			return
+		}
 		for _, lock := range msg.Locks {
 			d.node.learnHome(lock, msg.To, msg.Epoch)
 		}

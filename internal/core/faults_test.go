@@ -246,7 +246,11 @@ func TestSurrogateSyncThread(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Log the state, then lose the home site.
+	// Log the state once the release has committed at the home (its ack
+	// precedes its handling), then lose the home site.
+	if !eventually(t, func() bool { return tc.node(1).Sync().Snapshot().Locks[6].Version == 2 }) {
+		t.Fatal("release never committed at the home")
+	}
 	state := tc.node(1).Sync().Snapshot()
 	tc.kill(1)
 

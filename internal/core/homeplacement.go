@@ -5,29 +5,27 @@ import (
 	"time"
 
 	"mocha/internal/obs"
-	"mocha/internal/overlay"
 	"mocha/internal/placement"
 	"mocha/internal/wire"
 )
 
-// This file implements the mobile lock namespace. With home placement on,
-// the lock namespace is partitioned across manager sites by a consistent-
-// hash ring (internal/placement) instead of pinned to the paper's single
-// home site, and a lock's home can move at runtime:
+// This file implements the home model's routing and migration. The lock
+// namespace is partitioned across manager sites by a consistent-hash ring
+// (internal/placement): every site under HomePlacement, the paper's fixed
+// home site alone otherwise. A lock's home can move at runtime:
 //
 //   - Migration: the sweep watches per-site acquire tallies and, when a
-//     remote site dominates an idle lock's traffic, freezes the record,
-//     ships it to that site in a HandoffRecord, and leaves a redirecting
-//     tombstone behind. Clients chasing the old home get NackNotHome with
-//     the new address and re-route.
-//   - Standby failover: every home streams record deltas to one standby,
-//     its nearest live ring member by one timed probe round (chooseStandby).
-//     The standby watches every home that streams to it and, after enough
-//     missed heartbeats, promotes its shadows — leases, version floors,
-//     and dirty sets survive the home's death, so no lock is stranded.
+//     remote ring member dominates an idle lock's traffic, freezes the
+//     record, ships it to that site in a HandoffRecord, and leaves a
+//     redirecting tombstone behind. Clients chasing the old home get
+//     NackNotHome with the new address and re-route.
+//   - Takeover: a dead home's records are promoted elsewhere — by the
+//     standby it streamed them to, or by a surrogate started from its
+//     snapshot (standby.go, surrogate.go) — and a HomeMoved broadcast
+//     re-routes the clients.
 //
-// Everything here is reached only through a non-nil *homeState; a nil one
-// (placement off) preserves the fixed-home baseline byte for byte.
+// A ring of one has no member to migrate to and no standby, so the fixed
+// home runs the same code and behaves as the paper's.
 
 const (
 	// migrateMinAcquires is the tally a lock must accumulate before the
@@ -36,13 +34,6 @@ const (
 	migrateMinAcquires = 8
 	// handoffAttempts bounds HandoffRecord (re)sends per migration.
 	handoffAttempts = 3
-	// standbyMissThreshold is how many consecutive failed probes of a home
-	// the standby monitor tolerates before promoting.
-	standbyMissThreshold = 3
-	// standbyBand is how much slower than the fastest probe answer a ring
-	// member may be and still count as near when a home picks its standby:
-	// the overlay's locality band, so "near" means one thing everywhere.
-	standbyBand = overlay.DefaultBucketWidth
 )
 
 // homeRoute is a forwarding address for a migrated lock: where it went
@@ -101,6 +92,9 @@ type homeState struct {
 	// survives record GC so a re-register recreates the record here
 	// instead of ping-ponging between managers.
 	adopted map[wire.LockID]bool
+	// slice is the ring member whose whole slice this manager took over
+	// as a surrogate (0: none); it serves that slice's unknown locks too.
+	slice wire.SiteID
 	// moved keeps forwarding routes for migrated-away locks after their
 	// tombstone records are collected.
 	moved   map[wire.LockID]*homeRoute
@@ -144,12 +138,6 @@ func (hs *homeState) routeFor(lock wire.LockID) *homeRoute {
 	return hs.moved[lock]
 }
 
-func (hs *homeState) isAdopted(lock wire.LockID) bool {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	return hs.adopted[lock]
-}
-
 func (hs *homeState) adopt(lock wire.LockID) {
 	hs.mu.Lock()
 	hs.adopted[lock] = true
@@ -157,36 +145,29 @@ func (hs *homeState) adopt(lock wire.LockID) {
 	hs.mu.Unlock()
 }
 
+func (hs *homeState) takeSlice(member wire.SiteID) {
+	hs.mu.Lock()
+	hs.slice = member
+	hs.mu.Unlock()
+}
+
 // ---- request routing -------------------------------------------------
 
-// redirectIfNotHome answers an acquire with NackNotHome when this manager
-// should not serve the lock, reporting whether the request was consumed.
-// When the manager will serve it, a stale restored hold by the same
-// requester is broken first so the checker never sees a holder queue
-// behind its own ghost.
-func (hs *homeState) redirectIfNotHome(msg *wire.AcquireLock) bool {
-	s := hs.s
-	l := s.lookupLock(msg.Lock)
-	if l == nil {
-		if route := hs.routeFor(msg.Lock); route != nil {
-			hs.redirectTo(msg, route)
-			return true
-		}
-		if rh := hs.ring.Home(msg.Lock); rh != hs.self && !hs.isAdopted(msg.Lock) {
-			hs.redirectTo(msg, &homeRoute{to: rh})
-			return true
-		}
-		return false // ours: onAcquire refuses it as unknown
+// elsewhere resolves where a lock this manager holds no record for lives:
+// nil when this manager serves it — its ring slice, an adopted lock, or a
+// slice it took over — else the route to follow: a migration's forwarding
+// route, or the ring default at epoch 0.
+func (hs *homeState) elsewhere(lock wire.LockID) *homeRoute {
+	hs.mu.Lock()
+	route, adopted, slice := hs.moved[lock], hs.adopted[lock], hs.slice
+	hs.mu.Unlock()
+	if route != nil {
+		return route
 	}
-	l.mu.Lock()
-	if route := l.moved; route != nil {
-		l.mu.Unlock()
-		hs.redirectTo(msg, route)
-		return true
+	if rh := hs.ring.Home(lock); rh != hs.self && rh != slice && !adopted {
+		return &homeRoute{to: rh}
 	}
-	hs.breakStaleRestoredLocked(l, msg.Thread)
-	l.mu.Unlock()
-	return false
+	return nil
 }
 
 // redirectTo sends the NackNotHome and, when the route still carries
@@ -227,35 +208,15 @@ func (hs *homeState) breakStaleRestoredLocked(l *syncLock, thread wire.ThreadID)
 	}
 }
 
-// forwardReleaseIfMoved re-routes a release for a lock this manager no
-// longer (or never) homed, reporting whether the message was consumed.
-// Only authoritative knowledge forwards — a moved tombstone or route. A
-// release for a lock that plainly is not ours is dropped rather than
-// bounced off the ring: releases are best-effort (lease expiry is the
-// backstop) and a server-side forwarding loop would never terminate. A
-// forwarded release rides the node's release carriage like one of its own:
-// same retry ladder, waited out by Close, a loss counted.
-func (hs *homeState) forwardReleaseIfMoved(l *syncLock, msg *wire.ReleaseLock) bool {
-	var route *homeRoute
-	if l != nil {
-		l.mu.Lock()
-		route = l.moved
-		l.mu.Unlock()
-		if route == nil {
-			return false // live record: serve here
-		}
-	} else {
-		route = hs.routeFor(msg.Lock)
-		if route == nil {
-			if rh := hs.ring.Home(msg.Lock); rh == hs.self || hs.isAdopted(msg.Lock) {
-				return false // ours: onRelease ignores the unknown lock
-			}
-			return true // not ours, no route: drop
-		}
-	}
-	if route.to == hs.self {
-		return false
-	}
+// forwardRelease re-routes a release for a lock this manager no longer
+// homes along the migration's route. Only authoritative knowledge forwards
+// — a moved tombstone or route: a release for a lock that plainly is not
+// ours is dropped rather than bounced off the ring, because releases are
+// best-effort (lease expiry is the backstop) and a server-side forwarding
+// loop would never terminate. A forwarded release rides the node's release
+// carriage like one of its own: same retry ladder, waited out by Close, a
+// loss counted.
+func (hs *homeState) forwardRelease(msg *wire.ReleaseLock, route *homeRoute) {
 	// This manager's word on where the lock went is as good as a redirect:
 	// teach the node's own router, and the release carriage's ladder starts
 	// at the new home.
@@ -268,39 +229,11 @@ func (hs *homeState) forwardReleaseIfMoved(l *syncLock, msg *wire.ReleaseLock) b
 		insurance = func() { hs.sendToManager(to, rec) }
 	}
 	n.client.carryRelease(msg, insurance, nil)
-	return true
 }
 
-// forwardRegisterIfNotHome re-routes a register toward the lock's home,
-// reporting whether the message was consumed. The origin daemon also gets
-// a HomeHint when the route is a learned (post-migration) one, so its
-// clients skip the detour next time.
-func (hs *homeState) forwardRegisterIfNotHome(msg *wire.RegisterReplica) bool {
-	s := hs.s
-	if l := s.lookupLock(msg.Lock); l != nil {
-		l.mu.Lock()
-		route := l.moved
-		l.mu.Unlock()
-		if route == nil {
-			return false
-		}
-		hs.forwardRegister(msg, route.to, route.epoch)
-		return true
-	}
-	if route := hs.routeFor(msg.Lock); route != nil {
-		hs.forwardRegister(msg, route.to, route.epoch)
-		return true
-	}
-	if hs.isAdopted(msg.Lock) {
-		return false
-	}
-	if rh := hs.ring.Home(msg.Lock); rh != hs.self {
-		hs.forwardRegister(msg, rh, 0)
-		return true
-	}
-	return false
-}
-
+// forwardRegister re-routes a register toward the lock's home. The origin
+// daemon also gets a HomeHint when the route is a learned
+// (post-migration) one, so its clients skip the detour next time.
 func (hs *homeState) forwardRegister(msg *wire.RegisterReplica, to wire.SiteID, epoch uint32) {
 	if to == 0 || to == hs.self {
 		return
@@ -336,24 +269,27 @@ func (hs *homeState) sendToManager(to wire.SiteID, data []byte) bool {
 
 // ---- bookkeeping hooks from the synchronization thread ---------------
 
-// noteCreated stamps a freshly created record as homed here.
-func (hs *homeState) noteCreated(l *syncLock) {
-	l.mu.Lock()
-	if l.homeEpoch == 0 {
-		l.homeEpoch = 1
+// noteCreatedLocked stamps a record registration created as homed here;
+// the caller holds l.mu. A handoff or promotion that installed the record
+// first has stamped it already.
+func (hs *homeState) noteCreatedLocked(l *syncLock) {
+	if l.homeEpoch != 0 {
+		return
 	}
-	epoch := l.homeEpoch
-	l.mu.Unlock()
+	l.homeEpoch = 1
 	n := hs.s.node
 	n.recordHist(wire.HistoryEvent{
-		Kind: wire.HistHome, Site: hs.self, Lock: l.id, AuxVersion: uint64(epoch), Note: "register",
+		Kind: wire.HistHome, Site: hs.self, Lock: l.id, AuxVersion: 1, Note: "register",
 	})
 	n.obs().HomeLockAdd(uint32(hs.self), 1)
 }
 
 // noteAcquireLocked tallies one acquire for locality tracking; the caller
-// holds l.mu.
+// holds l.mu. A ring of one has nowhere to migrate to and keeps no tally.
 func (hs *homeState) noteAcquireLocked(l *syncLock, msg *wire.AcquireLock) {
+	if hs.ring.Len() == 1 {
+		return
+	}
 	if l.acq == nil {
 		l.acq = make(map[wire.SiteID]uint64)
 	}
@@ -545,24 +481,12 @@ func (hs *homeState) commitMove(l *syncLock, to wire.SiteID, newEpoch uint32, in
 // of an already-installed record just re-acks.
 func (s *syncThread) onHandoff(msg *wire.HandoffRecord) {
 	hs := s.home
-	lock := msg.Record.Lock
-	ok := hs != nil && hs.install(msg)
-	ack := wire.Marshal(&wire.HandoffAck{Lock: lock, To: s.node.cfg.Site, Epoch: msg.Epoch, OK: ok})
-	from := msg.From
-	go func() {
-		if hs != nil {
-			hs.sendToManager(from, ack)
-			return
-		}
-		if addr, err := s.node.syncAddrOf(from); err == nil {
-			ctx, cancel := timeoutCtx(s.node.cfg.RequestTimeout)
-			defer cancel()
-			_ = s.aux.Send(ctx, addr, ack)
-		}
-	}()
+	hs.install(msg)
+	ack := wire.Marshal(&wire.HandoffAck{Lock: msg.Record.Lock, To: s.node.cfg.Site, Epoch: msg.Epoch, OK: true})
+	go hs.sendToManager(msg.From, ack)
 }
 
-func (hs *homeState) install(msg *wire.HandoffRecord) bool {
+func (hs *homeState) install(msg *wire.HandoffRecord) {
 	s := hs.s
 	n := s.node
 	newEpoch := msg.Epoch + 1
@@ -572,7 +496,7 @@ func (hs *homeState) install(msg *wire.HandoffRecord) bool {
 		// A duplicate of a record already installed (or one we since
 		// re-homed at a higher epoch): just re-ack.
 		l.mu.Unlock()
-		return true
+		return
 	}
 	becameHome := created || l.moved != nil
 	l.moved = nil
@@ -588,11 +512,12 @@ func (hs *homeState) install(msg *wire.HandoffRecord) bool {
 	if becameHome {
 		n.obs().HomeLockAdd(uint32(hs.self), 1)
 	}
-	go standby()
+	if standby != nil {
+		go standby()
+	}
 	if n.log.On() {
 		n.log.Logf("sync", "installed lock %d from site %d (epoch %d)", l.id, msg.From, newEpoch)
 	}
-	return true
 }
 
 // onHandoffAck routes an ack to the waiting migration, or — when the
@@ -612,384 +537,4 @@ func (hs *homeState) onHandoffAck(msg *wire.HandoffAck) {
 	if msg.OK && route != nil && route.to == msg.To {
 		route.setRec(nil)
 	}
-}
-
-// ---- standby replication and failover --------------------------------
-
-// chooseStandby picks a home's standby from order — the other ring members
-// in ID-successor order — by timing one probe to each, all in parallel.
-// The standby is the first member in order whose round trip is below the
-// fastest answer plus band, so equally near members tie-break by ID the
-// way the ring always did. The choice closes at the first answer plus band
-// (or once every probe is back): a dead or far member never delays it.
-// With no answer at all it is order[0], the ring successor — as it is on a
-// uniform network, where every member answers inside the band. The second
-// result is the chosen member's round trip, 0 when none was measured.
-func chooseStandby(order []wire.SiteID, band time.Duration, probe func(wire.SiteID) bool) (wire.SiteID, time.Duration) {
-	if len(order) == 0 {
-		return 0, 0
-	}
-	type answer struct {
-		site wire.SiteID
-		rtt  time.Duration
-		ok   bool
-	}
-	// Buffered for every probe: the ones still out when the choice closes
-	// finish into it and exit.
-	answers := make(chan answer, len(order))
-	start := time.Now()
-	for _, site := range order {
-		site := site
-		go func() {
-			ok := probe(site)
-			answers <- answer{site, time.Since(start), ok}
-		}()
-	}
-	rtts := make(map[wire.SiteID]time.Duration, len(order))
-	var fastest time.Duration
-	var closed <-chan time.Time
-collect:
-	for pending := len(order); pending > 0; pending-- {
-		select {
-		case a := <-answers:
-			if !a.ok {
-				continue
-			}
-			if len(rtts) == 0 {
-				fastest = a.rtt
-				t := time.NewTimer(band)
-				defer t.Stop()
-				closed = t.C
-			}
-			rtts[a.site] = a.rtt
-		case <-closed:
-			break collect
-		}
-	}
-	for _, site := range order {
-		if rtt, ok := rtts[site]; ok && rtt < fastest+band {
-			return site, rtt
-		}
-	}
-	return order[0], 0
-}
-
-// standby returns the one site this home streams its records to, choosing
-// it on first use — before the first record the home creates, installs or
-// promotes is streamed — by one Heartbeat probe to every other ring member
-// (chooseStandby). The probes' samples choose the standby and nothing
-// else. Callers hold no record mutex: the first one waits out the probes.
-func (hs *homeState) standby() wire.SiteID {
-	hs.standbyOnce.Do(func() {
-		s := hs.s
-		to, rtt := chooseStandby(hs.ring.Successors(hs.self), standbyBand, func(site wire.SiteID) bool {
-			addr, err := s.node.daemonAddr(site)
-			return err == nil && s.probe(addr)
-		})
-		hs.standbyTo = to
-		s.node.obs().StandbyRTTSet(uint32(hs.self), rtt)
-		if s.node.log.On() {
-			s.node.log.Logf("sync", "standby for site %d's records is site %d (probe rtt %v)", hs.self, to, rtt)
-		}
-	})
-	return hs.standbyTo
-}
-
-// hasStandby reports whether this home streams to a standby at all — any
-// other ring member — without waiting for the choice; safe under l.mu.
-func (hs *homeState) hasStandby() bool { return hs.ring.Len() > 1 }
-
-// standbyActionLocked snapshots the record for the standby; the caller
-// holds l.mu. The returned action performs the send (never nil, possibly a
-// no-op) and must run outside every record mutex.
-func (hs *homeState) standbyActionLocked(l *syncLock) func() {
-	if !hs.hasStandby() || l.moved != nil {
-		return func() {}
-	}
-	l.standbySeq++
-	upd := &wire.StandbyUpdate{From: hs.self, Epoch: l.homeEpoch, Seq: l.standbySeq, Record: snapshotRecordLocked(l, time.Now())}
-	data := wire.Marshal(upd)
-	return func() {
-		if hs.sendToManager(hs.standby(), data) {
-			hs.s.node.obs().Inc(obs.CStandbyUpdates)
-		}
-	}
-}
-
-// streamHoldSync streams the record to the standby synchronously. Called
-// by deliverGrant before the grant leaves, closing the window where a
-// client could hold a lock no standby knows about.
-func (hs *homeState) streamHoldSync(l *syncLock) {
-	start := time.Now()
-	l.mu.Lock()
-	action := hs.standbyActionLocked(l)
-	l.mu.Unlock()
-	action()
-	hs.s.node.obs().Observe(obs.HStandbyStream, time.Since(start))
-}
-
-// streamDelete retires the standby's shadow of a collected record.
-func (hs *homeState) streamDelete(lock wire.LockID) {
-	if !hs.hasStandby() {
-		return
-	}
-	data := wire.Marshal(&wire.StandbyUpdate{From: hs.self, Delete: true, Record: wire.LockRecord{Lock: lock}})
-	go func() {
-		if hs.sendToManager(hs.standby(), data) {
-			hs.s.node.obs().Inc(obs.CStandbyUpdates)
-		}
-	}()
-}
-
-// onStandbyUpdate applies one home's record delta to the shadow table. The
-// first update from a home starts this site's monitor of it: a home names
-// its standby by streaming to it, so the two agree by construction.
-func (hs *homeState) onStandbyUpdate(msg *wire.StandbyUpdate) {
-	if msg.From == hs.self {
-		return
-	}
-	lock := msg.Record.Lock
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	if !hs.watching[msg.From] && !hs.retired {
-		hs.watching[msg.From] = true
-		hs.s.sweepWG.Add(1)
-		go hs.monitor(msg.From)
-	}
-	if msg.Delete {
-		// Deletes carry no snapshot sequence: the home GC'd the record, so
-		// any shadow it streamed is obsolete regardless of ordering.
-		if old := hs.shadows[lock]; old != nil && old.from == msg.From {
-			delete(hs.shadows, lock)
-		}
-		return
-	}
-	if old := hs.shadows[lock]; old != nil && old.from == msg.From &&
-		(old.epoch > msg.Epoch || (old.epoch == msg.Epoch && old.seq >= msg.Seq)) {
-		return
-	}
-	hs.shadows[lock] = &shadowRecord{from: msg.From, epoch: msg.Epoch, seq: msg.Seq, rec: msg.Record}
-}
-
-// monitor probes a home that streams to this standby and promotes its
-// shadows once it is declared dead. One-shot: after a promotion the
-// monitor retires (the static ring has no rejoin protocol).
-func (hs *homeState) monitor(home wire.SiteID) {
-	s := hs.s
-	defer s.sweepWG.Done()
-	t := time.NewTicker(s.node.cfg.LeaseSweep)
-	defer t.Stop()
-	misses := 0
-	for {
-		select {
-		case <-t.C:
-		case <-s.stopCh:
-			return
-		}
-		addr, err := s.node.daemonAddr(home)
-		if err != nil {
-			continue
-		}
-		if s.probe(addr) {
-			misses = 0
-			continue
-		}
-		misses++
-		if misses >= standbyMissThreshold {
-			hs.promoteFrom(home)
-			return
-		}
-	}
-}
-
-// promoteFrom installs every shadow streamed by a dead home, making this
-// manager home for its locks, and broadcasts the new routes. Restored
-// holds are re-anchored on this site's clock with their shipped remaining
-// leases; version floors and dirty sets carry over unchanged.
-func (hs *homeState) promoteFrom(dead wire.SiteID) {
-	s := hs.s
-	n := s.node
-	hs.mu.Lock()
-	if hs.promoted[dead] {
-		hs.mu.Unlock()
-		return
-	}
-	hs.promoted[dead] = true
-	var shadows []*shadowRecord
-	for lock, sh := range hs.shadows {
-		if sh.from == dead {
-			shadows = append(shadows, sh)
-			delete(hs.shadows, lock)
-		}
-	}
-	hs.mu.Unlock()
-	n.obs().Inc(obs.CStandbyPromotions)
-	if n.log.On() {
-		n.log.Logf("fault", "promoting %d standby records from dead site %d", len(shadows), dead)
-	}
-
-	var locks []wire.LockID
-	var maxEpoch uint32
-	var standbys []func()
-	for _, sh := range shadows {
-		newEpoch := sh.epoch + 1
-		l, created := s.ensureLockCreated(sh.rec.Lock)
-		l.mu.Lock()
-		if !created && l.moved == nil && l.homeEpoch >= newEpoch {
-			l.mu.Unlock()
-			continue
-		}
-		l.moved = nil
-		l.frozen = false
-		s.installRecordLocked(l, &sh.rec, newEpoch)
-		var holderThread wire.ThreadID
-		if sh.rec.HasHolder {
-			holderThread = sh.rec.Holder.Thread
-		}
-		n.recordHist(wire.HistoryEvent{
-			Kind: wire.HistRecover, Site: hs.self, Lock: l.id, Version: sh.rec.Version,
-			Thread: holderThread, Sites: sh.rec.UpToDate.Clone(), Note: "standby-promote",
-		})
-		n.recordHist(wire.HistoryEvent{
-			Kind: wire.HistHome, Site: hs.self, Lock: l.id, AuxVersion: uint64(newEpoch), Note: "standby-promote",
-		})
-		standbys = append(standbys, hs.standbyActionLocked(l))
-		l.mu.Unlock()
-		hs.adopt(l.id)
-		n.obs().HomeLockAdd(uint32(hs.self), 1)
-		locks = append(locks, l.id)
-		if newEpoch > maxEpoch {
-			maxEpoch = newEpoch
-		}
-	}
-	if len(locks) == 0 {
-		return
-	}
-	for _, lk := range locks {
-		n.learnHome(lk, hs.self, maxEpoch)
-	}
-	moved := wire.Marshal(&wire.HomeMoved{From: dead, To: hs.self, Epoch: maxEpoch, Locks: locks})
-	for site := range n.cfg.Directory {
-		if site == hs.self {
-			continue
-		}
-		site := site
-		go func() {
-			if addr, err := n.daemonAddr(site); err == nil {
-				ctx, cancel := timeoutCtx(n.cfg.RequestTimeout)
-				defer cancel()
-				_ = s.aux.Send(ctx, addr, moved)
-			}
-		}()
-	}
-	for _, f := range standbys {
-		go f()
-	}
-}
-
-// ---- record serialization --------------------------------------------
-
-// snapshotRecordLocked serializes a record for handoff or standby
-// streaming; the caller holds l.mu. Queued requests are not carried —
-// waiters re-issue after a redirect or timeout.
-func snapshotRecordLocked(l *syncLock, now time.Time) wire.LockRecord {
-	rec := wire.LockRecord{
-		Lock:      l.id,
-		Version:   l.version,
-		HighWater: l.highWater,
-		LastOwner: l.lastOwner,
-		Fence:     l.fence,
-		UpToDate:  l.upToDate.Clone(),
-		Dirty:     l.dirty.Clone(),
-		Sharers:   l.sharers.Clone(),
-	}
-	for name := range l.names {
-		rec.Names = append(rec.Names, name)
-	}
-	if h := l.holder; h != nil {
-		rec.HasHolder = true
-		rec.Holder = heldLease(h, now)
-	}
-	for _, h := range l.readers {
-		rec.Readers = append(rec.Readers, heldLease(h, now))
-	}
-	return rec
-}
-
-func heldLease(h *holderInfo, now time.Time) wire.HeldLease {
-	remaining := h.lease - now.Sub(h.grantedAt)
-	if remaining < 0 {
-		remaining = 0
-	}
-	return wire.HeldLease{
-		Thread: h.thread, Site: h.site, Shared: h.shared,
-		RemainingMillis: uint32(remaining / time.Millisecond),
-	}
-}
-
-// installRecordLocked overwrites a record from a shipped snapshot; the
-// caller holds l.mu. Holds are re-anchored on the local clock with their
-// remaining leases and marked restored.
-func (s *syncThread) installRecordLocked(l *syncLock, rec *wire.LockRecord, homeEpoch uint32) {
-	l.version = rec.Version
-	l.highWater = rec.HighWater
-	if l.highWater < l.version {
-		l.highWater = l.version
-	}
-	l.lastOwner = rec.LastOwner
-	if rec.Fence > l.fence {
-		l.fence = rec.Fence
-	}
-	l.upToDate = rec.UpToDate.Clone()
-	l.dirty = rec.Dirty.Clone()
-	l.sharers = rec.Sharers.Clone()
-	if l.names == nil {
-		l.names = make(map[string]bool)
-	}
-	for _, name := range rec.Names {
-		l.names[name] = true
-	}
-	l.homeEpoch = homeEpoch
-	l.holder = nil
-	if l.readers == nil {
-		l.readers = make(map[wire.ThreadID]*holderInfo)
-	} else {
-		for k := range l.readers {
-			delete(l.readers, k)
-		}
-	}
-	now := time.Now()
-	restored := func(h *wire.HeldLease) *holderInfo {
-		return &holderInfo{
-			site: h.Site, thread: h.Thread, shared: h.Shared,
-			grantedAt: now,
-			lease:     time.Duration(h.RemainingMillis) * time.Millisecond,
-			restored:  true,
-		}
-	}
-	if rec.HasHolder {
-		l.holder = restored(&rec.Holder)
-		// The original token travelled with the grant the holder already
-		// has; mint a fresh one under the new epoch so any revised grant
-		// issued from here carries a strictly larger fence.
-		l.holder.fence = s.mintFenceLocked(l)
-	}
-	for i := range rec.Readers {
-		h := restored(&rec.Readers[i])
-		h.fence = s.mintFenceLocked(l)
-		l.readers[h.thread] = h
-	}
-}
-
-// PromoteStandby forces this site's manager to promote the shadows it
-// holds for one home, as if the standby monitor had declared it
-// dead. For tests and operational tooling.
-func (n *Node) PromoteStandby(from wire.SiteID) {
-	n.mu.Lock()
-	s := n.sync
-	n.mu.Unlock()
-	if s == nil || s.home == nil {
-		return
-	}
-	s.home.promoteFrom(from)
 }

@@ -493,7 +493,7 @@ func (rl *ReplicaLock) Associate(ctx context.Context, r *Replica) error {
 		Names:   []string{r.name},
 		Creator: r.created,
 	}
-	if err := rl.node.client.sendToSync(ctx, reg); err != nil {
+	if err := rl.node.client.sendToHome(ctx, reg, rl.id); err != nil {
 		return fmt.Errorf("core: register replica %q: %w", r.name, err)
 	}
 	return nil
@@ -602,7 +602,7 @@ func (rl *ReplicaLock) lock(ctx context.Context, shared bool) error {
 		HaveVersion: have,
 		LeaseMillis: uint32(rl.h.lease / time.Millisecond),
 	}
-	if err := rl.node.client.sendToSync(ctx, req); err != nil {
+	if err := rl.node.client.sendToHome(ctx, req, rl.id); err != nil {
 		return fmt.Errorf("core: lock %d request: %w", rl.id, err)
 	}
 
@@ -856,7 +856,7 @@ func (rl *ReplicaLock) Unlock(ctx context.Context) error {
 		// from a site whose hold it still records.
 		<-rl.st.gate
 	})
-	if rl.node.ring == nil {
+	if rl.node.ring.Len() == 1 {
 		// The paper's unlock() sends the release and waits for it. Under
 		// home placement that wait is a wide-area round trip the protocol
 		// never asked for, and it is left to the carriage and the gate.

@@ -3,8 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
-	"mocha/internal/mnet"
 	"mocha/internal/wire"
 )
 
@@ -14,17 +14,20 @@ import (
 // employing a recovery protocol whereby a new synchronization thread is
 // spawned which informs the daemon threads of its existence."
 //
-// The state log is a snapshot of the durable lock bookkeeping (versions,
-// last owners, up-to-date sets, sharer sets, bans). Transient state —
-// in-flight holds and queued requests — is deliberately not recovered:
-// threads waiting on the dead manager time out, query their local daemon
-// for the surrogate's address (which the SyncMoved broadcast installed),
-// and re-issue their requests.
+// The fixed home is a ring of one with no standby to stream to, so its
+// state is logged by hand (Snapshot) and the surrogate is started by hand
+// (StartSurrogate). Everything after that is a standby promotion: the
+// records install through the same loop, holds survive with their
+// remaining leases, and a HomeMoved broadcast — for the whole slice, since
+// the snapshot is the manager's complete log — informs the daemons.
 
-// SyncState is a serializable snapshot of the synchronization thread.
+// SyncState is the synchronization thread's logged state: every record it
+// homes, in the wire.LockRecord form handoff and standby streaming use, and
+// its ban table. Epoch is the highest home epoch among the records; a
+// surrogate restoring the state manages them at Epoch+1.
 type SyncState struct {
 	Epoch  uint32
-	Locks  map[wire.LockID]LockSnapshot
+	Locks  map[wire.LockID]wire.LockRecord
 	Banned map[wire.ThreadID]BanRecord
 }
 
@@ -37,44 +40,24 @@ type BanRecord struct {
 	Site wire.SiteID
 }
 
-// LockSnapshot is one lock's durable record.
-type LockSnapshot struct {
-	Version uint64
-	// HighWater is the highest version ever committed (≥ Version; they
-	// differ after recovery weakened the lock to an older copy).
-	HighWater uint64
-	LastOwner wire.SiteID
-	UpToDate  wire.SiteSet
-	Dirty     wire.SiteSet
-	Sharers   wire.SiteSet
-	Names     []string
-}
-
 // Snapshot captures the manager's durable state — the "logging its state"
 // half of the recovery protocol. It walks the shards one at a time, so a
-// snapshot never stalls lock traffic table-wide.
+// snapshot never stalls lock traffic table-wide. Tombstones of migrated
+// locks are not this manager's records and stay out.
 func (s *syncThread) Snapshot() SyncState {
 	out := SyncState{
 		Epoch:  s.epoch,
-		Locks:  make(map[wire.LockID]LockSnapshot),
+		Locks:  make(map[wire.LockID]wire.LockRecord),
 		Banned: make(map[wire.ThreadID]BanRecord),
 	}
+	now := time.Now()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id, l := range sh.locks {
 			l.mu.Lock()
-			names := make([]string, 0, len(l.names))
-			for n := range l.names {
-				names = append(names, n)
-			}
-			out.Locks[id] = LockSnapshot{
-				Version:   l.version,
-				HighWater: l.highWater,
-				LastOwner: l.lastOwner,
-				UpToDate:  l.upToDate.Clone(),
-				Dirty:     l.dirty.Clone(),
-				Sharers:   l.sharers.Clone(),
-				Names:     names,
+			if l.moved == nil {
+				out.Locks[id] = snapshotRecordLocked(l, now)
+				out.Epoch = max(out.Epoch, l.homeEpoch)
 			}
 			l.mu.Unlock()
 		}
@@ -88,40 +71,11 @@ func (s *syncThread) Snapshot() SyncState {
 	return out
 }
 
-// restore loads a snapshot into a fresh manager with a bumped epoch. It
-// runs before the ports are wired up, but takes the shard and record
-// mutexes anyway for uniformity.
-func (s *syncThread) restore(st *SyncState) {
-	s.epoch = st.Epoch + 1
-	for id, snap := range st.Locks {
-		l := s.ensureLock(id)
-		l.mu.Lock()
-		l.version = snap.Version
-		l.highWater = snap.HighWater
-		if l.highWater < snap.Version {
-			l.highWater = snap.Version
-		}
-		l.lastOwner = snap.LastOwner
-		l.upToDate = snap.UpToDate.Clone()
-		l.dirty = snap.Dirty.Clone()
-		l.sharers = snap.Sharers.Clone()
-		for _, n := range snap.Names {
-			l.names[n] = true
-		}
-		s.node.recordHist(wire.HistoryEvent{
-			Kind: wire.HistRecover, Site: s.node.cfg.Site, Lock: id,
-			Version: snap.Version, Sites: snap.UpToDate.Clone(), Note: "surrogate-restore",
-		})
-		l.mu.Unlock()
-	}
-	for t, rec := range st.Banned {
-		s.ban(t, rec.Lock, rec.Site)
-	}
-}
-
 // StartSurrogate spawns a surrogate synchronization thread on this node
-// from a logged snapshot and informs every daemon in the directory of its
-// existence. The node becomes the new home for lock management.
+// from a logged snapshot: the records are promoted as a dead home's
+// standby promotes its shadows, this manager takes over the fixed home's
+// whole ring slice, and every daemon in the directory is informed of its
+// existence.
 func (n *Node) StartSurrogate(ctx context.Context, state SyncState) error {
 	n.mu.Lock()
 	if n.closed {
@@ -134,38 +88,28 @@ func (n *Node) StartSurrogate(ctx context.Context, state SyncState) error {
 	}
 	n.mu.Unlock()
 
-	s, err := newSyncThread(n, &state)
+	s, err := newSyncThread(n, state.Epoch+1)
 	if err != nil {
 		return fmt.Errorf("core: start surrogate: %w", err)
 	}
-	newAddr := mnet.JoinAddr(n.ep.Addr(), PortSync)
-
 	n.mu.Lock()
 	n.sync = s
-	n.syncAddr = newAddr
-	n.syncEpoch = s.epoch
 	n.mu.Unlock()
-	if n.log.On() {
-		n.log.Logf("sync", "surrogate synchronization thread started (epoch %d)", s.epoch)
-	}
 
-	// Inform the daemon threads of its existence.
-	moved := wire.Marshal(&wire.SyncMoved{Addr: newAddr, Epoch: s.epoch})
-	for site := range n.cfg.Directory {
-		if site == n.cfg.Site {
-			continue
-		}
-		addr, err := n.daemonAddr(site)
-		if err != nil {
-			continue
-		}
-		sendCtx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
-		if err := s.aux.Send(sendCtx, addr, moved); err != nil {
-			if n.log.On() {
-				n.log.Logf("sync", "SyncMoved to site %d failed: %v", site, err)
-			}
-		}
-		cancel()
+	for t, rec := range state.Banned {
+		s.ban(t, rec.Lock, rec.Site)
 	}
+	hs := s.home
+	hs.takeSlice(wire.HomeSite)
+	records := make([]*shadowRecord, 0, len(state.Locks))
+	for _, rec := range state.Locks {
+		records = append(records, &shadowRecord{epoch: state.Epoch, rec: rec})
+	}
+	hs.promote(records)
+	n.learnSlice(wire.HomeSite, n.cfg.Site, s.epoch)
+	if n.log.On() {
+		n.log.Logf("sync", "surrogate synchronization thread started with %d records (epoch %d)", len(records), s.epoch)
+	}
+	hs.broadcast(ctx, &wire.HomeMoved{From: wire.HomeSite, To: n.cfg.Site, Epoch: s.epoch})
 	return nil
 }

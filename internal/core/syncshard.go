@@ -54,18 +54,10 @@ func (s *syncThread) lookupLock(id wire.LockID) *syncLock {
 	return l
 }
 
-// ensureLock returns the record for a lock, creating it if necessary —
-// "determines if the lock exists and creates a Lock object if necessary".
-// Only registration (and surrogate restore, handoff install, or standby
-// promotion) may create records.
-func (s *syncThread) ensureLock(id wire.LockID) *syncLock {
-	l, _ := s.ensureLockCreated(id)
-	return l
-}
-
-// ensureLockCreated is ensureLock plus a report of whether this call
-// created the record — home placement uses it to record a HistHome event
-// and bump the per-home lock gauge exactly once per record.
+// ensureLockCreated returns the record for a lock, creating it if
+// necessary — "determines if the lock exists and creates a Lock object if
+// necessary" — and reports whether this call created it. Only
+// registration, handoff install, and promotion may create records.
 func (s *syncThread) ensureLockCreated(id wire.LockID) (*syncLock, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()

@@ -149,8 +149,8 @@ func TestEmptyLockRecordsCollected(t *testing.T) {
 	tc := newTestCluster(t, 1, defaultOpts())
 	s := tc.node(1).Sync()
 
-	s.ensureLock(77) // empty: no sharers, holds, queue, names, version
-	live := s.ensureLock(78)
+	s.ensureLockCreated(77) // empty: no sharers, holds, queue, names, version
+	live, _ := s.ensureLockCreated(78)
 	live.mu.Lock()
 	live.sharers.Add(1)
 	live.version = 1

@@ -54,8 +54,8 @@ type syncThread struct {
 
 	shards []*syncShard
 
-	// home carries the mobile-namespace state when consistent-hash home
-	// placement is on; nil reproduces the paper's fixed-home baseline.
+	// home carries the home model's routing, migration and standby state;
+	// on the paper's fixed home it is a ring of one.
 	home *homeState
 
 	bannedMu sync.Mutex
@@ -105,13 +105,11 @@ type syncLock struct {
 	readers map[wire.ThreadID]*holderInfo
 	queue   []*lockRequest
 
-	// Home-placement state; all zero when placement is off.
-	//
-	// frozen marks a record mid-handoff: requests still queue behind it
-	// but nothing is granted until the migration commits or aborts. moved
-	// is the tombstone left by a committed handoff — the record stays in
-	// the table (redirecting under its own mutex, which makes the
-	// commit/acquire race airtight) until the sweep collects it.
+	// Home-model state. frozen marks a record mid-handoff: requests still
+	// queue behind it but nothing is granted until the migration commits or
+	// aborts. moved is the tombstone left by a committed handoff — the
+	// record stays in the table (redirecting under its own mutex, which
+	// makes the commit/acquire race airtight) until the sweep collects it.
 	frozen    bool
 	moved     *homeRoute
 	homeEpoch uint32
@@ -192,8 +190,9 @@ func (s *syncThread) recordDeferredLocked(l *syncLock) {
 	}
 }
 
-// newSyncThread starts the manager, optionally restoring surrogate state.
-func newSyncThread(n *Node, restore *SyncState) (*syncThread, error) {
+// newSyncThread starts the manager at an epoch: 1 for a site the ring
+// names, one past the restored state's for a surrogate.
+func newSyncThread(n *Node, epoch uint32) (*syncThread, error) {
 	port, err := n.ep.OpenPort(PortSync)
 	if err != nil {
 		return nil, err
@@ -206,18 +205,13 @@ func newSyncThread(n *Node, restore *SyncState) (*syncThread, error) {
 		node:        n,
 		port:        port,
 		aux:         aux,
-		epoch:       1,
+		epoch:       epoch,
 		shards:      newShards(syncShards),
 		banned:      make(map[wire.ThreadID]banRecord),
 		pollWaiters: make(map[uint64]chan *wire.PollVersionReply),
 		stopCh:      make(chan struct{}),
 	}
-	if n.ring != nil && n.ring.Contains(n.cfg.Site) {
-		s.home = newHomeState(s)
-	}
-	if restore != nil {
-		s.restore(restore)
-	}
+	s.home = newHomeState(s)
 	port.SetHandler(s.handle)
 	aux.SetHandler(s.handleAux)
 	s.sweepWG.Add(1)
@@ -231,9 +225,7 @@ func newSyncThread(n *Node, restore *SyncState) (*syncThread, error) {
 // touches memory.
 func (s *syncThread) stop() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
-	if s.home != nil {
-		s.home.retire()
-	}
+	s.home.retire()
 	s.sweepWG.Wait()
 }
 
@@ -269,13 +261,9 @@ func (s *syncThread) handle(m mnet.Message) {
 	case *wire.HandoffRecord:
 		s.onHandoff(msg)
 	case *wire.HandoffAck:
-		if s.home != nil {
-			s.home.onHandoffAck(msg)
-		}
+		s.home.onHandoffAck(msg)
 	case *wire.StandbyUpdate:
-		if s.home != nil {
-			s.home.onStandbyUpdate(msg)
-		}
+		s.home.onStandbyUpdate(msg)
 	default:
 		if s.node.log.On() {
 			s.node.log.Logf("sync", "unhandled %s on sync port", p.Kind())
@@ -315,11 +303,13 @@ func (s *syncThread) handleAux(m mnet.Message) {
 // home answers NackNotHome with the best forwarding address instead of
 // serving, so a client chasing a migrated lock converges in one hop.
 func (s *syncThread) onAcquire(msg *wire.AcquireLock) {
-	if hs := s.home; hs != nil && hs.redirectIfNotHome(msg) {
-		return
-	}
+	hs := s.home
 	l := s.lookupLock(msg.Lock)
 	if l == nil {
+		if route := hs.elsewhere(msg.Lock); route != nil {
+			hs.redirectTo(msg, route)
+			return
+		}
 		s.recordAcquire(msg)
 		if reason, isBanned := s.bannedReason(msg.Thread); isBanned {
 			s.refuseBanned(msg, reason)
@@ -339,6 +329,17 @@ func (s *syncThread) onAcquire(msg *wire.AcquireLock) {
 		lease = time.Duration(msg.LeaseMillis) * time.Millisecond
 	}
 	l.mu.Lock()
+	// A tombstone redirects under its own mutex: a commitMove sets it before
+	// draining the queue, so either the drain nacks a request or this does.
+	if route := l.moved; route != nil {
+		l.mu.Unlock()
+		hs.redirectTo(msg, route)
+		return
+	}
+	// The manager will serve the request, so a stale restored hold by the
+	// same requester is broken first: the checker must never see a holder
+	// queue behind its own ghost.
+	hs.breakStaleRestoredLocked(l, msg.Thread)
 	// Duplicate suppression, checked before the acquire is recorded so a
 	// re-sent request never queues twice. A client whose request was
 	// already served re-sends it when the answer (or the transport ack)
@@ -389,18 +390,7 @@ func (s *syncThread) onAcquire(msg *wire.AcquireLock) {
 		s.refuseBanned(msg, reason)
 		return
 	}
-	if hs := s.home; hs != nil {
-		// Re-checked under l.mu: a commitMove that raced this acquire set
-		// the tombstone before draining the queue, so either the drain
-		// nacks this request or this check does — never neither.
-		if route := l.moved; route != nil {
-			l.mu.Unlock()
-			s.recordNack(msg, "lock moved to new home")
-			hs.redirectTo(msg, route)
-			return
-		}
-		hs.noteAcquireLocked(l, msg)
-	}
+	hs.noteAcquireLocked(l, msg)
 	l.queue = append(l.queue, &lockRequest{
 		site:     msg.Requester,
 		thread:   msg.Thread,
@@ -451,15 +441,24 @@ func (s *syncThread) nackAction(msg *wire.AcquireLock, code wire.NackCode, reaso
 // onRelease implements the RELEASELOCK arm of Figure 7, with the Section 4
 // refinement that the release carries the set of daemons holding the new
 // version from push dissemination.
+//
+// A release for a lock this manager does not home follows a migration's
+// route when one is known and is otherwise dropped (see forwardRelease).
 func (s *syncThread) onRelease(msg *wire.ReleaseLock) {
+	hs := s.home
 	l := s.lookupLock(msg.Lock)
-	if hs := s.home; hs != nil && hs.forwardReleaseIfMoved(l, msg) {
-		return
-	}
 	if l == nil {
+		if route := hs.routeFor(msg.Lock); route != nil && route.to != hs.self {
+			hs.forwardRelease(msg, route)
+		}
 		return
 	}
 	l.mu.Lock()
+	if route := l.moved; route != nil && route.to != hs.self {
+		l.mu.Unlock()
+		hs.forwardRelease(msg, route)
+		return
+	}
 	switch {
 	case l.holder != nil && l.holder.thread == msg.Thread:
 		l.holder = nil
@@ -506,7 +505,7 @@ func (s *syncThread) onRelease(msg *wire.ReleaseLock) {
 		Aborted: msg.Aborted,
 		Sites:   relSites,
 	}
-	if hs := s.home; hs != nil && hs.hasStandby() && l.moved == nil && !l.frozen {
+	if hs.hasStandby() && l.moved == nil && !l.frozen {
 		// Stream-first: the standby must hold this state before the
 		// release is durable. Recording first would open a window where
 		// the home dies with the release committed but the standby still
@@ -532,8 +531,8 @@ func (s *syncThread) onRelease(msg *wire.ReleaseLock) {
 	}
 	s.node.recordHist(relEv)
 	actions := s.tryGrantLocked(l)
-	if hs := s.home; hs != nil {
-		actions = append(actions, hs.standbyActionLocked(l))
+	if push := hs.standbyActionLocked(l); push != nil {
+		actions = append(actions, push)
 	}
 	l.mu.Unlock()
 	s.run(actions)
@@ -542,16 +541,24 @@ func (s *syncThread) onRelease(msg *wire.ReleaseLock) {
 // onRegister implements REGISTERREPLICA: startup and initialization. This
 // is the only client-driven message that creates lock records.
 func (s *syncThread) onRegister(msg *wire.RegisterReplica) {
-	if hs := s.home; hs != nil && hs.forwardRegisterIfNotHome(msg) {
-		return
-	}
-	l, created := s.ensureLockCreated(msg.Lock)
-	if created {
-		if hs := s.home; hs != nil {
-			hs.noteCreated(l)
+	hs := s.home
+	l, created := s.lookupLock(msg.Lock), false
+	if l == nil {
+		if route := hs.elsewhere(msg.Lock); route != nil {
+			hs.forwardRegister(msg, route.to, route.epoch)
+			return
 		}
+		l, created = s.ensureLockCreated(msg.Lock)
 	}
 	l.mu.Lock()
+	if route := l.moved; route != nil {
+		l.mu.Unlock()
+		hs.forwardRegister(msg, route.to, route.epoch)
+		return
+	}
+	if created {
+		hs.noteCreatedLocked(l)
+	}
 	l.sharers.Add(msg.Site)
 	for _, name := range msg.Names {
 		l.names[name] = true
@@ -571,10 +578,7 @@ func (s *syncThread) onRegister(msg *wire.RegisterReplica) {
 	} else {
 		s.node.recordHist(wire.HistoryEvent{Kind: wire.HistRegister, Site: msg.Site, Lock: msg.Lock})
 	}
-	var standby func()
-	if hs := s.home; hs != nil {
-		standby = hs.standbyActionLocked(l)
-	}
+	standby := hs.standbyActionLocked(l)
 	l.mu.Unlock()
 	if standby != nil {
 		go standby()
@@ -798,7 +802,7 @@ func (s *syncThread) leaseSweep() {
 // probes them on completion workers — the heartbeat never runs under any
 // mutex, and the worker re-validates the hold before breaking it. It also
 // garbage-collects empty lock records (no sharers, holds, or queue), which
-// surrogate restores can leave behind.
+// promotions can leave behind.
 func (s *syncThread) sweepOnce() {
 	now := time.Now()
 	type suspect struct {
@@ -832,19 +836,15 @@ func (s *syncThread) sweepOnce() {
 				delete(sh.locks, id)
 				s.node.obs().GaugeAdd(obs.GSyncLocks, -1)
 				l.mu.Unlock()
-				if hs := s.home; hs != nil {
-					hs.noteCollected(id, wasMoved)
-				}
+				s.home.noteCollected(id, wasMoved)
 				if s.node.log.On() {
 					s.node.log.Logf("sync", "collected empty record for lock %d", id)
 				}
 				continue
 			}
-			if hs := s.home; hs != nil {
-				if to, ok := hs.migrationTargetLocked(l); ok {
-					l.frozen = true
-					departures = append(departures, departure{l, to})
-				}
+			if to, ok := s.home.migrationTargetLocked(l); ok {
+				l.frozen = true
+				departures = append(departures, departure{l, to})
 			}
 			if h := l.holder; h != nil {
 				expired(l, h)
@@ -942,7 +942,7 @@ func (s *syncThread) checkHolder(l *syncLock, h *holderInfo) {
 		Kind: wire.HistBreak, Site: h.site, Thread: h.thread, Lock: l.id,
 	}
 	var actions []func()
-	if hs := s.home; hs != nil && hs.hasStandby() && l.moved == nil && !l.frozen {
+	if hs := s.home; hs.hasStandby() && l.moved == nil && !l.frozen {
 		// Stream-first, mirroring onRelease: the standby must see the
 		// hold cleared and the site marked dirty before the break is
 		// durable, or a promotion could resurrect the broken hold and
@@ -960,8 +960,8 @@ func (s *syncThread) checkHolder(l *syncLock, h *holderInfo) {
 	} else {
 		s.node.recordHist(breakEv)
 		actions = s.tryGrantLocked(l)
-		if hs := s.home; hs != nil {
-			actions = append(actions, hs.standbyActionLocked(l))
+		if push := s.home.standbyActionLocked(l); push != nil {
+			actions = append(actions, push)
 		}
 	}
 	l.mu.Unlock()

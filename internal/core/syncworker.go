@@ -44,13 +44,11 @@ func (s *syncThread) deliverGrant(l *syncLock, req *lockRequest, h *holderInfo, 
 			directive <- s.sendDirective(l.id, plan.src, req.site, req.have, plan.version)
 		}()
 	}
-	if hs := s.home; hs != nil {
-		// Stream the hold to the standby before the grant leaves: once
-		// the client holds the lock, the standby must already be able to
-		// restore the lease if this home dies. Timed as standby_stream, so
-		// grant_deliver below is the GRANT's send alone.
-		hs.streamHoldSync(l)
-	}
+	// Stream the hold to the standby before the grant leaves: once the
+	// client holds the lock, the standby must already be able to restore
+	// the lease if this home dies. Timed as standby_stream, so
+	// grant_deliver below is the GRANT's send alone.
+	s.home.streamHoldSync(l)
 	deliverStart := time.Now()
 	crashed := s.node.fireFault(FaultContext{
 		Point: FPCrashBeforeGrant, Peer: req.site, Lock: l.id, Thread: req.thread, Version: g.Version,
@@ -66,11 +64,11 @@ func (s *syncThread) deliverGrant(l *syncLock, req *lockRequest, h *holderInfo, 
 				Kind: wire.HistGrantDropped, Site: req.site, Thread: req.thread, Lock: l.id,
 			})
 			actions = s.tryGrantLocked(l)
-			if hs := s.home; hs != nil {
-				// The standby already streamed this hold; retract it, or
-				// a promotion would restore a hold nobody received and
-				// sit on its lease.
-				actions = append(actions, hs.standbyActionLocked(l))
+			// The standby already streamed this hold; retract it, or a
+			// promotion would restore a hold nobody received and sit on
+			// its lease.
+			if push := s.home.standbyActionLocked(l); push != nil {
+				actions = append(actions, push)
 			}
 		}
 		l.mu.Unlock()

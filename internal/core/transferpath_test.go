@@ -272,7 +272,7 @@ func TestRevisedGrantFollowsOriginal(t *testing.T) {
 	grants := c3.expectGrant(6, h3.ID())
 	defer c3.dropGrant(6, h3.ID())
 	failuresBefore := opts.metrics.CounterValue(obs.CSendFailures)
-	if err := c3.sendToSync(ctx, &wire.AcquireLock{Lock: 6, Requester: 3, Thread: h3.ID()}); err != nil {
+	if err := c3.sendToHome(ctx, &wire.AcquireLock{Lock: 6, Requester: 3, Thread: h3.ID()}, 6); err != nil {
 		t.Fatal(err)
 	}
 	// The directive toward the dead source exhausts its retries while the

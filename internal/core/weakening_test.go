@@ -76,7 +76,7 @@ func TestCrashedHoldMarksContentUncommitted(t *testing.T) {
 	if got := r1.Content().IntsData()[0]; got != 1 {
 		t.Fatalf("data after break = %d, want committed 1", got)
 	}
-	l := tc.node(1).Sync().ensureLock(7)
+	l := tc.node(1).Sync().lookupLock(7)
 	l.mu.Lock()
 	dirtySet := l.dirty.Clone()
 	upToDate := l.upToDate.Clone()
@@ -138,7 +138,7 @@ func TestGrantCarriesCommittedVersionFloor(t *testing.T) {
 
 	// The release travels to the manager asynchronously; wait for the
 	// high-water mark to follow the commit.
-	l := tc.node(1).Sync().ensureLock(9)
+	l := tc.node(1).Sync().lookupLock(9)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		l.mu.Lock()

@@ -355,11 +355,12 @@ func (rt *Runtime) onJoin(replyTo string, msg *wire.Join) {
 	rt.members[msg.Site] = memberInfo{Name: msg.Name, DaemonAddr: msg.DaemonAddr}
 	rt.mu.Unlock()
 	rt.node.Log().Logf("runtime", "site %d (%s) joined", msg.Site, msg.Name)
+	syncAddr, epoch := rt.node.HomeAddr()
 	ack := &wire.JoinAck{
 		Site:     msg.Site,
 		OK:       true,
-		SyncAddr: rt.node.SyncAddr(),
-		Epoch:    rt.node.SyncEpoch(),
+		SyncAddr: syncAddr,
+		Epoch:    epoch,
 	}
 	rt.send(replyTo, ack)
 }

@@ -12,10 +12,13 @@ import (
 func fuzzSeeds() [][]byte {
 	var seeds [][]byte
 	// A zero value of every registered kind: the decoder must accept its
-	// own encoder's output for every message, however empty.
+	// own encoder's output for every message, however empty. A retired
+	// kind's bare frame stands in its slot: the decoder must refuse it.
 	for k := 1; k < 64; k++ {
 		if p := newPayload(Kind(k)); p != nil {
 			seeds = append(seeds, Marshal(p))
+		} else if _, retired := retiredKinds[Kind(k)]; retired {
+			seeds = append(seeds, []byte{byte(k)})
 		}
 	}
 	populated := []Payload{

@@ -38,10 +38,10 @@ func (h *HeldLease) decode(r *Reader) {
 }
 
 // LockRecord is one lock's complete manager-side record: the durable
-// bookkeeping a surrogate snapshot carries (version, high water, last
-// owner, up-to-date/dirty/sharer sets, names) plus the live hold state
-// (holder and readers with remaining leases) that a migration or standby
-// promotion must preserve. Queued requests are deliberately absent —
+// bookkeeping (version, high water, last owner, up-to-date/dirty/sharer
+// sets, names, fence) plus the live hold state (holder and readers with
+// remaining leases) that a migration, a standby promotion or a surrogate
+// restored from a snapshot must preserve. Queued requests are deliberately absent —
 // waiters re-issue against the new home after a NACK redirect or timeout.
 type LockRecord struct {
 	Lock      LockID
@@ -246,7 +246,8 @@ func (m *StandbyUpdate) decode(r *Reader) error {
 // HomeMoved announces that To now manages the listed locks, after a
 // standby promotion (From died) or a bulk migration. Broadcast to every
 // daemon; receivers install per-lock routes and drop stale ones by epoch
-// comparison.
+// comparison. An empty list moves From's whole ring slice: a surrogate
+// restored the complete log of the manager serving it.
 type HomeMoved struct {
 	From  SiteID
 	To    SiteID

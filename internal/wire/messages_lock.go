@@ -706,29 +706,6 @@ func (m *HeartbeatAck) decode(r *Reader) error {
 	return r.Err()
 }
 
-// SyncMoved informs daemons that a surrogate synchronization thread has
-// taken over after a home-site failure (the recovery protocol the paper
-// sketches in Section 4). Addr is the surrogate's MNet address and Epoch
-// its incarnation number; messages from older epochs are ignored.
-type SyncMoved struct {
-	Addr  string
-	Epoch uint32
-}
-
-// Kind implements Payload.
-func (*SyncMoved) Kind() Kind { return KindSyncMoved }
-
-func (m *SyncMoved) encode(w *Writer) {
-	w.String16(m.Addr)
-	w.U32(m.Epoch)
-}
-
-func (m *SyncMoved) decode(r *Reader) error {
-	m.Addr = r.String16()
-	m.Epoch = r.U32()
-	return r.Err()
-}
-
 // OpenStreamRequest asks the destination daemon to accept a bulk replica
 // transfer over the hybrid protocol's stream transport. MNet carries this
 // control message; the reply propagates the TCP-style listen address

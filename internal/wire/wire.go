@@ -44,7 +44,7 @@ const (
 	KindHeartbeat
 	KindHeartbeatAck
 	KindLockNack
-	KindSyncMoved
+	_ // was KindSyncMoved; a surrogate now announces itself with HomeMoved
 
 	// Hybrid protocol control (Section 5).
 	KindOpenStreamRequest
@@ -102,7 +102,6 @@ var kindNames = map[Kind]string{
 	KindHeartbeat:         "HEARTBEAT",
 	KindHeartbeatAck:      "HEARTBEATACK",
 	KindLockNack:          "LOCKNACK",
-	KindSyncMoved:         "SYNCMOVED",
 	KindOpenStreamRequest: "OPENSTREAMREQUEST",
 	KindOpenStreamReply:   "OPENSTREAMREPLY",
 	KindSpawn:             "SPAWN",
@@ -308,8 +307,6 @@ func newPayload(k Kind) Payload {
 		return &HeartbeatAck{}
 	case KindLockNack:
 		return &LockNack{}
-	case KindSyncMoved:
-		return &SyncMoved{}
 	case KindOpenStreamRequest:
 		return &OpenStreamRequest{}
 	case KindOpenStreamReply:

@@ -28,7 +28,6 @@ func allMessages() []Payload {
 		&Heartbeat{Nonce: 77},
 		&HeartbeatAck{Nonce: 77, Site: 6},
 		&LockNack{Lock: 7, Thread: MakeThreadID(6, 1), Code: NackUnknownLock, Reason: "banned after lease expiry"},
-		&SyncMoved{Addr: "sim://2/sync", Epoch: 3},
 		&OpenStreamRequest{RequestID: 99, From: 2},
 		&OpenStreamReply{RequestID: 99, Addr: "127.0.0.1:40404"},
 		&Spawn{SpawnID: 5, Home: 1, ClassName: "Myhello", ClassImage: []byte{0xCA, 0xFE}, Params: []byte("start=0")},
@@ -92,14 +91,80 @@ func relayPushDeltaForm() *RelayPush {
 		}}
 }
 
+// retiredKinds are the slots of kinds no longer sent. Each keeps its value
+// so that every later kind keeps its own.
+var retiredKinds = map[Kind]string{14: "SYNCMOVED"}
+
 func TestEveryKindCovered(t *testing.T) {
 	seen := map[Kind]bool{}
 	for _, m := range allMessages() {
 		seen[m.Kind()] = true
 	}
 	for k := KindInvalid + 1; k < kindSentinel; k++ {
-		if !seen[k] {
+		if _, retired := retiredKinds[k]; !seen[k] && !retired {
 			t.Errorf("kind %s has no round-trip coverage in allMessages", k)
+		}
+	}
+}
+
+// TestKindValuesPinned pins every kind's numeric value. Kinds are the
+// first byte of every frame, and KindWALRecord frames the durable store's
+// log on disk: inserting or deleting a constant instead of appending one,
+// or retiring one to a blank slot, would renumber every later kind and make
+// old logs and old peers unreadable.
+func TestKindValuesPinned(t *testing.T) {
+	pinned := []struct {
+		kind Kind
+		want uint8
+	}{
+		{KindInvalid, 0},
+		{KindAcquireLock, 1},
+		{KindGrant, 2},
+		{KindReleaseLock, 3},
+		{KindTransferReplica, 4},
+		{KindRegisterReplica, 5},
+		{KindReplicaData, 6},
+		{KindPushUpdate, 7},
+		{KindPushAck, 8},
+		{KindPollVersion, 9},
+		{KindPollVersionReply, 10},
+		{KindHeartbeat, 11},
+		{KindHeartbeatAck, 12},
+		{KindLockNack, 13},
+		{KindOpenStreamRequest, 15},
+		{KindOpenStreamReply, 16},
+		{KindSpawn, 17},
+		{KindSpawnAck, 18},
+		{KindTaskResult, 19},
+		{KindCodeRequest, 20},
+		{KindCodeReply, 21},
+		{KindPrint, 22},
+		{KindStackDump, 23},
+		{KindEvent, 24},
+		{KindJoin, 25},
+		{KindJoinAck, 26},
+		{KindReplicaDelta, 27},
+		{KindDeltaNack, 28},
+		{KindRelayPush, 29},
+		{KindRelayAck, 30},
+		{KindHomeHint, 31},
+		{KindHandoffRecord, 32},
+		{KindHandoffAck, 33},
+		{KindStandbyUpdate, 34},
+		{KindHomeMoved, 35},
+		{KindWALRecord, 36},
+	}
+	for _, p := range pinned {
+		if uint8(p.kind) != p.want {
+			t.Errorf("%s = %d, pinned at %d", p.kind, uint8(p.kind), p.want)
+		}
+	}
+	if got, want := int(kindSentinel), len(pinned)+len(retiredKinds); got != want {
+		t.Errorf("%d kind slots, %d pinned or retired: pin the new kind here", got, want)
+	}
+	for k, name := range retiredKinds {
+		if p := newPayload(k); p != nil {
+			t.Errorf("retired kind %d (was %s) decodes as %s", k, name, p.Kind())
 		}
 	}
 }

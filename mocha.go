@@ -94,7 +94,10 @@ type (
 	Profile = netsim.Profile
 	// CostModel models platform execution costs.
 	CostModel = netsim.CostModel
-	// SyncState is a synchronization-thread snapshot for failover.
+	// SyncState is a synchronization-thread snapshot for failover: the
+	// home's lock records with their holds and remaining leases, and its
+	// ban table. A surrogate started from it promotes the records as a
+	// standby would and takes over the home's whole lock namespace.
 	SyncState = core.SyncState
 	// SessionStore is the non-synchronization-based (optimistic) object
 	// store — the paper's announced future work, after Bayou and [TDP+94].

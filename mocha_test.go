@@ -332,9 +332,17 @@ func TestSurrogateViaPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, err := cluster.Home().Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	// The release's ack precedes its handling at the home: log the state
+	// once it has committed, or the surrogate would restore an older
+	// version than the one already committed.
+	var state mocha.SyncState
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if state, err = cluster.Home().Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if state.Locks[4].Version == 2 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if _, err := cluster.Site(2).Snapshot(); err == nil {
 		t.Fatal("non-home snapshot should fail")
