@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race transfer-order release-order standby-order fuzz-smoke crash-smoke explore cover bench bench-compare bench-fanout bench-load bench-tree bench-home bench-store
+.PHONY: check fmt-check vet build test race transfer-order release-order standby-order fuzz-smoke crash-smoke explore cover bench bench-compare
 
 # check is the full CI gate: formatting, static analysis, build, the
 # complete test suite, the race detector over the concurrency-heavy
@@ -111,37 +111,3 @@ bench:
 bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=a.json NEW=b.json"; exit 2; }
 	bash benchmark/run.sh -compare $(OLD) $(NEW)
-
-bench-fanout:
-	$(GO) run ./cmd/benchmocha -exp ablate-fanout -json
-
-# bench-load drives the open-loop harness at 100 sites / 10k locks, once
-# plain and once with the online monitor in the event stream, with the
-# history checker on, and fails if a leg records nothing. Emits
-# BENCH_load.json.
-bench-load:
-	$(GO) run ./cmd/benchmocha -exp load -json
-
-# bench-tree compares flat O(sharers) release dissemination against the
-# locality-aware relay tree at 200 sites over an 8-region simulated WAN,
-# with the history checker on in both legs. Emits BENCH_tree.json.
-bench-tree:
-	$(GO) run ./cmd/benchmocha -exp ablate-tree -json
-
-# bench-home kills a lock-home site under both placement strategies: the
-# paper's fixed home strands its whole lock namespace, while the
-# consistent-hash ring with standby promotion leaves every lock
-# acquirable. The history checker runs on both legs. Emits
-# BENCH_home.json.
-bench-home:
-	$(GO) run ./cmd/benchmocha -exp ablate-home -json
-
-# bench-store kills and restarts a worker site under both replica-store
-# backends: the paper's in-memory baseline loses everything and refetches
-# every lock, while the durable store replays its WAL and re-joins at the
-# persisted versions with zero transfers. A third leg runs the durable
-# store under a memory cap below the working set (eviction + refault).
-# The online monitor and history checker run on the restart legs. Emits
-# BENCH_store.json.
-bench-store:
-	$(GO) run ./cmd/benchmocha -exp ablate-store -json

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,13 +28,12 @@ func main() {
 
 func run() int {
 	var (
-		all     = flag.Bool("all", false, "run every experiment")
-		exp     = flag.String("exp", "", "comma-separated experiment IDs")
-		scale   = flag.Float64("scale", 1.0, "time scale (1.0 = calibrated real time)")
-		trials  = flag.Int("trials", 3, "measurements per data point")
-		sites   = flag.Int("sites", 6, "maximum dissemination fan-out")
-		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		jsonOut = flag.Bool("json", false, "also write each result to BENCH_<name>.json")
+		all    = flag.Bool("all", false, "run every experiment")
+		exp    = flag.String("exp", "", "comma-separated experiment IDs")
+		scale  = flag.Float64("scale", 1.0, "time scale (1.0 = calibrated real time)")
+		trials = flag.Int("trials", 3, "measurements per data point")
+		sites  = flag.Int("sites", 6, "maximum dissemination fan-out")
+		list   = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
 
@@ -81,32 +79,9 @@ func run() int {
 		}
 		fmt.Println(res.String())
 		fmt.Printf("(%s completed in %v wall-clock)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		if *jsonOut {
-			if err := writeJSON(res); err != nil {
-				fmt.Fprintf(os.Stderr, "benchmocha: writing %s result: %v\n", e.ID, err)
-				failed++
-			}
-		}
 	}
 	if failed > 0 {
 		return 1
 	}
 	return 0
-}
-
-// writeJSON records one result as BENCH_<name>.json in the working
-// directory, stripping the "ablate-" prefix so the fan-out ablation lands
-// in BENCH_fanout.json and the store ablation in BENCH_store.json.
-func writeJSON(res bench.Result) error {
-	name := strings.TrimPrefix(res.ID, "ablate-")
-	path := "BENCH_" + name + ".json"
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", path)
-	return nil
 }

@@ -34,37 +34,6 @@ type Config struct {
 	// MaxSites is the largest dissemination fan-out (default 6, matching
 	// the paper's figures).
 	MaxSites int
-
-	// LoadSites, LoadLocks, LoadRate and LoadDuration shape the open-loop
-	// load experiment ("load"): cluster size, lock population, offered
-	// acquire/release pairs per second, and the arrival-generation window.
-	// Zero values take the experiment's defaults (100 sites, 10k locks,
-	// 3000 ops/s, 5s).
-	LoadSites    int
-	LoadLocks    int
-	LoadRate     float64
-	LoadDuration time.Duration
-
-	// TreeSites and TreeRegions shape the dissemination-tree ablation
-	// ("ablate-tree"): cluster size and the number of locality regions in
-	// the simulated WAN geography. Zero values take the experiment's
-	// defaults (200 sites, 8 regions).
-	TreeSites   int
-	TreeRegions int
-
-	// HomeSites and HomeLocks shape the home-placement ablation
-	// ("ablate-home"): cluster/ring size and the lock population spread
-	// over it. Zero values take the experiment's defaults (6 sites, 8
-	// locks).
-	HomeSites int
-	HomeLocks int
-
-	// StoreSites and StoreLocks shape the durable-store ablation
-	// ("ablate-store"): cluster size and the lock population the restarted
-	// site owns. Zero values take the experiment's defaults (3 sites, 6
-	// locks).
-	StoreSites int
-	StoreLocks int
 }
 
 // WithDefaults fills unset fields.
@@ -93,10 +62,6 @@ type Result struct {
 	Table string
 	// Notes carries derived observations (ratios, crossovers).
 	Notes []string
-	// Metrics exposes the headline numbers for machine consumers
-	// (benchmocha -json); keys are snake_case, values in the unit the
-	// key names.
-	Metrics map[string]float64 `json:",omitempty"`
 }
 
 // String renders the result for the console.
@@ -134,10 +99,6 @@ func All() []Experiment {
 		{ID: "ablate-adaptive", Title: "Ablation: adaptive protocol selection", Run: AblateAdaptive},
 		{ID: "ablate-reuse", Title: "Ablation: hybrid protocol with connection reuse", Run: AblateReuse},
 		{ID: "ablate-fanout", Title: "Ablation: parallel dissemination fan-out", Run: AblateFanout},
-		{ID: "load", Title: "Open-loop load at 100s of sites, with and without the online monitor", Run: AblateLoad},
-		{ID: "ablate-tree", Title: "Ablation: locality-aware dissemination relay tree", Run: AblateTree},
-		{ID: "ablate-home", Title: "Ablation: consistent-hash lock homes with standby failover", Run: AblateHome},
-		{ID: "ablate-store", Title: "Ablation: durable replica store — crash recovery vs in-memory", Run: AblateStore},
 	}
 }
 

@@ -17,7 +17,6 @@ func TestAllExperimentsRegistered(t *testing.T) {
 		"table1", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"app", "smallmsg", "ur", "cablemodem",
 		"ablate-marshal", "ablate-adaptive", "ablate-reuse", "ablate-fanout",
-		"load", "ablate-tree", "ablate-home", "ablate-store",
 	}
 	all := All()
 	if len(all) != len(want) {

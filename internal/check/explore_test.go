@@ -633,7 +633,11 @@ func runSchedule(t *testing.T, sched check.Schedule, cfg runConfig, replayCmd st
 		}
 	}
 	// The online monitor saw the same stream; its counterexample carries
-	// the offending window and the replay token.
+	// the offending window and the replay token. A monitor that saw nothing
+	// verified nothing.
+	if e.mon.EventsSeen() == 0 {
+		t.Fatalf("online monitor saw none of the %d recorded events: the sink is not wired", len(events))
+	}
 	if cx := e.mon.Err(); cx != nil {
 		t.Fatalf("schedule violates entry consistency (caught online)\nschedule:\n%s\nfaults fired:\n%s\n\n%v",
 			plan, report, cx)

@@ -21,6 +21,8 @@ type testCluster struct {
 	sn    *transport.SimNetwork
 	nodes map[wire.SiteID]*Node
 	rec   *check.Recorder
+	// start builds a site's node over a stack; restart reuses it.
+	start func(site wire.SiteID, stack *transport.SimStack)
 }
 
 type clusterOpts struct {
@@ -51,8 +53,10 @@ type clusterOpts struct {
 	// placement enables the consistent-hash mobile lock namespace.
 	placement bool
 	// storeDirs backs the named sites with a durable store (missing sites
-	// keep the in-memory one).
-	storeDirs map[wire.SiteID]string
+	// keep the in-memory one); storeMemLimit caps each durable store's
+	// cached payload bytes (0 = no cap).
+	storeDirs     map[wire.SiteID]string
+	storeMemLimit int
 }
 
 func defaultOpts() clusterOpts {
@@ -89,14 +93,13 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 		stacks[site] = stack
 		directory[site] = stack.Datagram().LocalAddr()
 	}
-	for i := 1; i <= n; i++ {
-		site := wire.SiteID(i)
-		dg := stacks[site].Datagram()
+	tc.start = func(site wire.SiteID, simStack *transport.SimStack) {
+		dg := simStack.Datagram()
 		if opts.wrapDatagram != nil {
 			dg = opts.wrapDatagram(site, dg)
 		}
 		ep := mnet.NewEndpoint(dg, opts.mnetCfg)
-		var stack transport.Stack = stacks[site]
+		var stack transport.Stack = simStack
 		if opts.wrapStack != nil {
 			stack = opts.wrapStack(site, stack)
 		}
@@ -120,6 +123,7 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 			Metrics:             opts.metrics,
 			FaultHook:           opts.faultHooks[site],
 			StoreDir:            opts.storeDirs[site],
+			StoreMemLimit:       opts.storeMemLimit,
 			RequestTimeout:      opts.reqTO,
 			TransferTimeout:     xferTO,
 			DefaultLease:        opts.lease,
@@ -128,9 +132,12 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 			History:             rec,
 		})
 		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
+			t.Fatalf("node %d: %v", site, err)
 		}
 		tc.nodes[site] = node
+	}
+	for i := 1; i <= n; i++ {
+		tc.start(wire.SiteID(i), stacks[wire.SiteID(i)])
 	}
 	t.Cleanup(func() {
 		for _, node := range tc.nodes {
@@ -157,6 +164,19 @@ func (tc *testCluster) node(site wire.SiteID) *Node { return tc.nodes[site] }
 func (tc *testCluster) kill(site wire.SiteID) {
 	_ = tc.nodes[site].Close()
 	tc.sn.Kill(netsim.NodeID(site))
+}
+
+// restart reboots a killed site at the same address: a fresh stack,
+// endpoint and node, over the same storeDirs entry, so a durable site
+// replays its log and an in-memory one comes back empty.
+func (tc *testCluster) restart(t *testing.T, site wire.SiteID) *Node {
+	t.Helper()
+	stack, err := tc.sn.Restart(netsim.NodeID(site))
+	if err != nil {
+		t.Fatalf("restart site %d: %v", site, err)
+	}
+	tc.start(site, stack)
+	return tc.nodes[site]
 }
 
 // standbyOf returns the standby a placement home streams its records to:

@@ -173,7 +173,6 @@ func (t *transferService) disseminate(ctx context.Context, lock wire.LockID, ver
 	if want <= 0 {
 		return nil
 	}
-	t.feedTracker()
 	var candidates []wire.SiteID
 	for _, site := range sharers.Sites() {
 		if site != t.node.cfg.Site {
@@ -240,49 +239,6 @@ func (n *Node) PushPayloads(ctx context.Context, lock wire.LockID, version uint6
 		}
 	}
 	return acked, errors.Join(failed...)
-}
-
-// feedTracker drains the acquire spans recorded since the last
-// dissemination and turns each one's request RTT into an overlay sample
-// against the lock's manager — the peer the round trip actually measured.
-// The probe phase a harness may run seeds the tracker; this keeps it fed
-// for the rest of the run, so RTT drift (route changes, migrated homes)
-// reaches the relay plan without re-probing.
-//
-// Under HomePlacement the request phase is not a distance: it contains the
-// home's round trip to its standby, so a near home would read as a far
-// one. Those samples are not fed.
-func (t *transferService) feedTracker() {
-	if t.node.cfg.HomePlacement {
-		return
-	}
-	reg := t.node.obs()
-	t.spanMu.Lock()
-	recs, cur := reg.SpansSince(t.spanCursor)
-	t.spanCursor = cur
-	t.spanMu.Unlock()
-	if len(recs) == 0 {
-		return
-	}
-	self := t.node.cfg.Site
-	phase := obs.HRequestRTT.PhaseName()
-	for i := range recs {
-		sp := &recs[i]
-		// The registry may be shared across sites (benchmarks do this);
-		// only this site's own acquires measured a round trip from here.
-		if sp.Op != "acquire" || wire.SiteID(sp.Site) != self {
-			continue
-		}
-		peer, _ := t.node.homeOf(wire.LockID(sp.Lock))
-		if peer == 0 || peer == self {
-			continue
-		}
-		for _, ph := range sp.Phases {
-			if ph.Name == phase && ph.Dur > 0 {
-				t.tracker.Observe(peer, ph.Dur)
-			}
-		}
-	}
 }
 
 // pushViaRelay sends one bucket's RelayPush, waits for the aggregated ack

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -332,6 +333,14 @@ func TestUndeliveredReleaseIsCounted(t *testing.T) {
 
 		mustCreate(t, tc.node(1).NewHandle("creator"), 6, "orphan", []int32{1}, 2)
 		rl, _ := mustAttach(t, tc.node(2).NewHandle("stranded"), 6, "orphan")
+		// The rest of the namespace, never touched by the holder.
+		var others []*ReplicaLock
+		for lock := wire.LockID(7); lock <= 9; lock++ {
+			name := fmt.Sprintf("bystander-%d", lock)
+			mustCreate(t, tc.node(1).NewHandle(name), lock, name, []int32{1}, 2)
+			other, _ := mustAttach(t, tc.node(2).NewHandle(name), lock, name)
+			others = append(others, other)
+		}
 		settle()
 		if err := rl.Lock(ctx); err != nil {
 			t.Fatal(err)
@@ -342,6 +351,13 @@ func TestUndeliveredReleaseIsCounted(t *testing.T) {
 		}
 		if got := opts.metrics.CounterValue(obs.CReleaseFailures); got != 1 {
 			t.Fatalf("release failures = %d, want 1", got)
+		}
+		// Nothing re-homes a lock of the fixed home: the whole namespace is
+		// stranded until an operator starts a surrogate.
+		for _, other := range append(others, rl) {
+			if err := other.Lock(ctx); !errors.Is(err, ErrNoSync) {
+				t.Errorf("acquire of lock %d with the home dead = %v, want ErrNoSync", other.ID(), err)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -95,8 +96,9 @@ func TestChooseStandby(t *testing.T) {
 // {2,4,6}, a backbone round trip apart). Every ring successor is in the
 // other region, yet every home's standby is in its own. Killing a home
 // while a lock it homes is held makes that in-region standby promote on
-// its own monitor; the surviving holder's release lands there, and a
-// reader in the other region reads the released bytes.
+// its own monitor; the surviving holder's release lands there, a reader in
+// the other region reads the released bytes, and the five idle locks the
+// dead home also managed are acquirable too.
 func TestStandbyStaysInRegion(t *testing.T) {
 	const sites = 6
 	const lockID = wire.LockID(30)
@@ -141,6 +143,15 @@ func TestStandbyStaysInRegion(t *testing.T) {
 		}
 	}
 	rlR, rR := mustCreate(t, tc.node(reader).NewHandle("reader"), lockID, "regional", []int32{1}, sites)
+	// Five more locks the same home manages, never held across the kill.
+	var idle []*ReplicaLock
+	for lock := lockID + 1; len(idle) < 5; lock++ {
+		if h, _ := tc.node(1).homeOf(lock); h == home {
+			name := fmt.Sprintf("idle-%d", lock)
+			rl, _ := mustCreate(t, tc.node(reader).NewHandle(name), lock, name, []int32{1}, sites)
+			idle = append(idle, rl)
+		}
+	}
 	rlH, rH := mustAttach(t, tc.node(holder).NewHandle("holder"), lockID, "regional")
 	time.Sleep(100 * time.Millisecond) // registrations cross the backbone
 	if err := rlH.Lock(ctx); err != nil {
@@ -159,6 +170,9 @@ func TestStandbyStaysInRegion(t *testing.T) {
 	}
 	if got := opts.metrics.CounterValue(obs.CStandbyPromotions); got != 1 {
 		t.Errorf("standby promotions = %d, want 1", got)
+	}
+	if got := opts.metrics.CounterValue(obs.CStandbyUpdates); got == 0 {
+		t.Error("standby updates = 0: the promoted shadows were never streamed")
 	}
 	if !eventually(t, func() bool { to, _ := tc.node(holder).homeOf(lockID); return to == standby }) {
 		t.Fatalf("the holder never learned the promoted home %d", standby)
@@ -183,6 +197,14 @@ func TestStandbyStaysInRegion(t *testing.T) {
 	}
 	if err := rlR.Unlock(ctx); err != nil {
 		t.Fatal(err)
+	}
+	for _, rl := range idle {
+		if err := rl.Lock(ctx); err != nil {
+			t.Fatalf("acquire of lock %d after its home died: %v", rl.ID(), err)
+		}
+		if err := rl.Unlock(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := opts.metrics.CounterValue(obs.CReleaseFailures); got != 0 {
 		t.Errorf("release failures = %d, want 0", got)

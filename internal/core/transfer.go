@@ -41,15 +41,9 @@ type transferService struct {
 	// it buckets sharers by measured RTT, elects bucket relays, and
 	// scores them by observed ack latency and loss.
 	tracker *overlay.Tracker
-	// spanCursor marks how far into the obs span ring the tracker feed
-	// has read; each dissemination drains the acquire spans recorded
-	// since, so RTT estimates refresh continuously instead of only from
-	// an initial probe phase.
-	spanMu     sync.Mutex
-	spanCursor uint64
 	// uplinkSends counts dissemination pushes initiated from this node's
-	// own uplink (direct pushes and relay pushes alike). The tree
-	// ablation's O(regions)-vs-O(sharers) claim is measured against it.
+	// own uplink (direct pushes and relay pushes alike): one per bucket
+	// through the relay tree, one per sharer without it.
 	uplinkSends atomic.Int64
 
 	// relayAcks demultiplexes aggregated RelayAcks back to the
@@ -496,8 +490,8 @@ func (n *Node) FullTransfersSent() int64 { return n.xfer.fullSends.Load() }
 func (n *Node) DeltaFallbacks() int64 { return n.xfer.deltaFallbacks.Load() }
 
 // OverlayTracker exposes the dissemination overlay's peer tracker so
-// harnesses can seed it with measured RTTs (e.g. from the obs span ring)
-// and tests can inspect relay scores.
+// harnesses and tests can seed it with measured RTTs and inspect relay
+// scores: the protocol has no RTT source of its own yet.
 func (n *Node) OverlayTracker() *overlay.Tracker { return n.xfer.tracker }
 
 // DisseminationUplinkSends reports how many dissemination pushes (direct

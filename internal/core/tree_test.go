@@ -91,44 +91,62 @@ func TestDisseminateTreeRelays(t *testing.T) {
 	}
 }
 
+// TestTreeDisabledBelowThreshold releases to three sharers one bucket apart
+// with the tree off and with the tree on below its sharer threshold: both
+// fan out flat, one push per sharer from the releaser's uplink and no
+// relay push.
 func TestTreeDisabledBelowThreshold(t *testing.T) {
-	opts := defaultOpts()
-	opts.metrics = obs.NewRegistry()
-	opts.tree = true
-	opts.treeMin = 20 // sharer count stays below the threshold
-	tc := newTestCluster(t, 4, opts)
-	tr := tc.node(1).OverlayTracker()
-	for _, s := range []wire.SiteID{2, 3, 4} {
-		tr.Observe(s, 5*time.Millisecond)
-	}
-	ctx := tctx(t)
+	for _, c := range []struct {
+		name    string
+		tree    bool
+		treeMin int
+	}{
+		{name: "tree-off"},
+		{name: "below-threshold", tree: true, treeMin: 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := defaultOpts()
+			opts.metrics = obs.NewRegistry()
+			opts.tree, opts.treeMin = c.tree, c.treeMin
+			tc := newTestCluster(t, 4, opts)
+			tr := tc.node(1).OverlayTracker()
+			for _, s := range []wire.SiteID{2, 3, 4} {
+				tr.Observe(s, 5*time.Millisecond)
+			}
+			ctx := tctx(t)
 
-	h1 := tc.node(1).NewHandle("w")
-	rl1, r1 := mustCreate(t, h1, 9, "v", []int32{0}, 4)
-	remotes := map[wire.SiteID]*ReplicaLock{}
-	for i := wire.SiteID(2); i <= 4; i++ {
-		rl, _ := mustAttach(t, tc.node(i).NewHandle("r"), 9, "v")
-		remotes[i] = rl
-	}
-	settle()
+			h1 := tc.node(1).NewHandle("w")
+			rl1, r1 := mustCreate(t, h1, 9, "v", []int32{0}, 4)
+			remotes := map[wire.SiteID]*ReplicaLock{}
+			for i := wire.SiteID(2); i <= 4; i++ {
+				rl, _ := mustAttach(t, tc.node(i).NewHandle("r"), 9, "v")
+				remotes[i] = rl
+			}
+			settle()
 
-	rl1.SetUpdateReplicas(4)
-	if err := rl1.Lock(ctx); err != nil {
-		t.Fatal(err)
-	}
-	r1.Content().IntsData()[0] = 7
-	if err := rl1.Unlock(ctx); err != nil {
-		t.Fatal(err)
-	}
+			rl1.SetUpdateReplicas(4)
+			if err := rl1.Lock(ctx); err != nil {
+				t.Fatal(err)
+			}
+			r1.Content().IntsData()[0] = 7
+			uplinkBefore := tc.node(1).DisseminationUplinkSends()
+			if err := rl1.Unlock(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-	if got := opts.metrics.CounterValue(obs.CRelayPushes); got != 0 {
-		t.Errorf("relay pushes below threshold = %d, want 0 (flat fan-out)", got)
-	}
-	released := rl1.Version()
-	for i := wire.SiteID(2); i <= 4; i++ {
-		if got := remotes[i].Version(); got != released {
-			t.Errorf("site %d at version %d, want %d", i, got, released)
-		}
+			if got := tc.node(1).DisseminationUplinkSends() - uplinkBefore; got != 3 {
+				t.Errorf("releaser uplink sends = %d, want 3 (one per sharer)", got)
+			}
+			if got := opts.metrics.CounterValue(obs.CRelayPushes); got != 0 {
+				t.Errorf("relay pushes = %d, want 0 (flat fan-out)", got)
+			}
+			released := rl1.Version()
+			for i := wire.SiteID(2); i <= 4; i++ {
+				if got := remotes[i].Version(); got != released {
+					t.Errorf("site %d at version %d, want %d", i, got, released)
+				}
+			}
+		})
 	}
 }
 

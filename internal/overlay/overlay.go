@@ -4,7 +4,9 @@
 // relays report it — elects one relay per cluster, and plans release-time
 // pushes so the releaser's uplink carries one frame per region instead of
 // one per sharer; the relay re-fans the version over its cheap local links
-// (core/transfer.go speaks the RelayPush/RelayAck protocol the plan drives).
+// (core/disseminate.go speaks the RelayPush/RelayAck protocol the plan
+// drives). The tracker has no RTT source of its own: callers feed it with
+// Observe.
 //
 // Relays are scored continuously: every observed ack pulls a peer's score
 // toward perfect, every loss or pathologically slow aggregated ack pulls
@@ -350,28 +352,4 @@ func (t *Tracker) elect(sites []wire.SiteID) (relay wire.SiteID, ok bool) {
 		}
 	}
 	return relay, best >= 0
-}
-
-// SeedFromSpans feeds the tracker from the obs span ring: every recorded
-// span whose phases include a request-RTT measurement contributes one RTT
-// sample for the span's site. This is how harnesses (and eventually the
-// steady-state protocol) turn the acquire instrumentation that already
-// exists into dissemination geography. Returns the number of samples
-// absorbed.
-func SeedFromSpans(t *Tracker, spans []obs.SpanRecord) int {
-	phase := obs.HRequestRTT.PhaseName()
-	n := 0
-	for i := range spans {
-		sp := &spans[i]
-		if sp.Site == 0 {
-			continue
-		}
-		for _, ph := range sp.Phases {
-			if ph.Name == phase && ph.Dur > 0 {
-				t.Observe(wire.SiteID(sp.Site), ph.Dur)
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -154,25 +154,6 @@ func TestScoresPublishedToRegistry(t *testing.T) {
 	}
 }
 
-func TestSeedFromSpans(t *testing.T) {
-	tr := NewTracker(Config{})
-	spans := []obs.SpanRecord{
-		{Site: 4, Phases: []obs.SpanPhase{{Name: "request_rtt", Dur: 30 * time.Millisecond}}},
-		{Site: 5, Phases: []obs.SpanPhase{{Name: "queue_wait", Dur: time.Millisecond}}},
-		{Site: 0, Phases: []obs.SpanPhase{{Name: "request_rtt", Dur: time.Millisecond}}},
-	}
-	if n := SeedFromSpans(tr, spans); n != 1 {
-		t.Fatalf("seeded %d samples, want 1", n)
-	}
-	rtt, ok := tr.RTT(4)
-	if !ok || rtt != 30*time.Millisecond {
-		t.Fatalf("site 4 RTT = %v/%v, want 30ms", rtt, ok)
-	}
-	if _, ok := tr.RTT(5); ok {
-		t.Fatal("span without a request_rtt phase produced an RTT")
-	}
-}
-
 // hopObs is one relay-reported hop, fed to ObserveHop in order.
 type hopObs struct {
 	relay, member wire.SiteID

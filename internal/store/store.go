@@ -80,7 +80,7 @@ type Store interface {
 	Close() error
 }
 
-// Stats counts store activity, for the ablation harness and tests.
+// Stats counts store activity, for the benchmark and tests.
 type Stats struct {
 	// Records is the number of locks with live records.
 	Records int

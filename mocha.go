@@ -417,7 +417,7 @@ func WithMetrics(m *Metrics) Option { return func(o *options) { o.metrics = m } 
 
 // WithoutMetrics disables the observability plane entirely: no registry is
 // allocated and every instrumentation point degrades to a nil-receiver
-// no-op (the ablate-obs benchmark's baseline).
+// no-op.
 func WithoutMetrics() Option { return func(o *options) { o.noMetrics = true } }
 
 // WithHistory attaches a history sink to every site in the cluster,
