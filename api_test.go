@@ -1,6 +1,7 @@
 package mocha_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"mocha"
+	"mocha/internal/obs"
 )
 
 // freePorts reserves n distinct UDP ports by binding and releasing them.
@@ -259,5 +261,87 @@ func TestTypedReplicaSet(t *testing.T) {
 	}
 	if err := rl.Unlock(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllExtensionsOn builds one simulated cluster with every extension
+// switched on through the public options — delta transfer, the
+// dissemination tree, home placement, the durable store, stream reuse and
+// a caller's metrics registry — writes at one site, reads the exact bytes
+// at another, and finds the releases and a delta transfer in the
+// caller's registry.
+func TestAllExtensionsOn(t *testing.T) {
+	m := mocha.NewMetrics()
+	cluster, err := mocha.NewSimCluster(3,
+		mocha.WithEnvironment(mocha.Perfect()),
+		mocha.WithDeltaTransfer(),
+		mocha.WithDisseminationTree(),
+		mocha.WithHomePlacement(),
+		mocha.WithDurableStore(t.TempDir()),
+		mocha.WithStreamReuse(),
+		mocha.WithMetrics(m),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cluster.Close() }()
+	ctx := testCtx(t)
+	if cluster.Metrics() != m {
+		t.Fatal("cluster does not record into the caller's registry")
+	}
+
+	const lock = 11
+	writer := cluster.Site(1).Bag("writer")
+	r1, err := writer.CreateReplica("doc", mocha.Bytes(make([]byte, 256)), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl1 := writer.ReplicaLock(lock)
+	if err := rl1.Associate(ctx, r1); err != nil {
+		t.Fatal(err)
+	}
+	reader := cluster.Site(3).Bag("reader")
+	r3, err := reader.AttachReplica("doc", mocha.Bytes(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl3 := reader.ReplicaLock(lock)
+	if err := rl3.Associate(ctx, r3); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // registrations reach the lock's home
+
+	want := make([]byte, 256)
+	// The reader's second read fetches a delta against its first.
+	for i, write := range []struct {
+		off  int
+		data string
+	}{{8, "every extension on"}, {200, "second write"}} {
+		if err := rl1.Lock(ctx); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if err := r1.Content().WriteBytesAt(write.off, []byte(write.data)); err != nil {
+			t.Fatal(err)
+		}
+		copy(want[write.off:], write.data)
+		if err := rl1.Unlock(ctx); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if err := rl3.Lock(ctx); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		got := append([]byte(nil), r3.Content().BytesData()...)
+		if err := rl3.Unlock(ctx); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("read %d at site 3: %q\nwant %q", i, got, want)
+		}
+	}
+	if m.CounterValue(obs.CReleases) == 0 {
+		t.Error("no release recorded in the caller's registry")
+	}
+	if m.CounterValue(obs.CTransfersDelta) == 0 {
+		t.Error("no delta transfer recorded: the second read should fetch a delta")
 	}
 }

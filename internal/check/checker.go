@@ -173,18 +173,31 @@ func (ls *lockState) pruneBelow(v uint64) {
 
 // dropAbove forgets shadow and known-site state for every version strictly
 // above v: a recovery rewound the committed version, so those numbers will
-// be reissued with fresh bytes.
-func (ls *lockState) dropAbove(v uint64) {
-	for ver := range ls.shadow {
-		if ver > v {
+// be reissued with fresh bytes. The exception is a version the thread keep
+// (0: none) published under a hold the recovery kept: its release commits
+// those bytes where its publish and pushes put them.
+func (ls *lockState) dropAbove(v uint64, keep wire.ThreadID) {
+	for ver, sh := range ls.shadow {
+		if ver > v && (keep == 0 || !publishedBy(sh, keep)) {
 			delete(ls.shadow, ver)
 		}
 	}
 	for ver := range ls.knownAt {
-		if ver > v {
+		if ver > v && ls.shadow[ver] == nil {
 			delete(ls.knownAt, ver)
 		}
 	}
+}
+
+// publishedBy reports whether a version's bytes are the thread's own,
+// authoritative publish.
+func publishedBy(sh map[string]shadowEntry, t wire.ThreadID) bool {
+	for _, e := range sh {
+		if e.auth && e.src.Kind == wire.HistPublish && e.src.Thread == t {
+			return true
+		}
+	}
+	return false
 }
 
 // checkerMode selects how much history-comparison state a checker retains.
@@ -624,7 +637,14 @@ func (c *checker) onRecover(ev wire.HistoryEvent) *Violation {
 			fmt.Sprintf("standby promotion of lock %d restores v%d behind the committed v%d",
 				ev.Lock, ev.Version, ls.committed), ev)
 	}
-	ls.dropAbove(ev.Version)
+	// A promoted record that carries the exclusive holder keeps its hold,
+	// so what that hold published and pushed above the record's version is
+	// still where it was: the holder's release may commit it.
+	var carried wire.ThreadID
+	if ev.Note == "standby-promote" && ls.holder != nil && ls.holder.thread == ev.Thread {
+		carried = ev.Thread
+	}
+	ls.dropAbove(ev.Version, carried)
 	ls.committed = ev.Version
 	switch ev.Note {
 	case "weakened-local":

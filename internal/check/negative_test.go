@@ -92,6 +92,16 @@ func TestCheckNegativeTable(t *testing.T) {
 			want: nil,
 		},
 		{
+			name: "a promotion that carries the holder keeps its pushes",
+			evs:  append(cleanPrefix(), carriedPushPromotion(tC)...),
+			want: nil,
+		},
+		{
+			name: "a promotion that drops the holder drops its pushes",
+			evs:  append(cleanPrefix(), carriedPushPromotion(0)...),
+			want: ErrUpToDateOverclaim,
+		},
+		{
 			name: "surrogate restored from a snapshot older than the last commit",
 			evs: append(append(homePrefix(), cleanPrefix()...),
 				// cleanPrefix committed v2 at site 1; the snapshot was taken
@@ -165,5 +175,23 @@ func TestCheckNegativeTable(t *testing.T) {
 			}
 			expectViolation(t, tc.evs, tc.want)
 		})
+	}
+}
+
+// carriedPushPromotion continues cleanPrefix (v2 committed): thread tC
+// publishes v3 and pushes it to site 2, the home dies, and its standby
+// promotes the record at v2 carrying holder (0: no holder). tC's release
+// then commits v3 as held at sites 2 and 3.
+func carriedPushPromotion(holder wire.ThreadID) []wire.HistoryEvent {
+	return []wire.HistoryEvent{
+		{Kind: wire.HistAcquire, Site: 3, Thread: tC, Lock: 9},
+		{Kind: wire.HistGrant, Site: 3, Thread: tC, Lock: 9, Version: 2, Sites: wire.NewSiteSet(1, 2)},
+		{Kind: wire.HistPublish, Site: 3, Thread: tC, Lock: 9, Version: 3,
+			Digests: []wire.ReplicaDigest{{Name: "x", Sum: 0xc3}}},
+		{Kind: wire.HistApply, Site: 2, Lock: 9, Version: 3, Note: "push",
+			Digests: []wire.ReplicaDigest{{Name: "x", Sum: 0xc3}}},
+		{Kind: wire.HistRecover, Site: 1, Thread: holder, Lock: 9, Version: 2,
+			Note: "standby-promote", Sites: wire.NewSiteSet(1, 2)},
+		{Kind: wire.HistRelease, Site: 3, Thread: tC, Lock: 9, Version: 3, Sites: wire.NewSiteSet(2, 3)},
 	}
 }

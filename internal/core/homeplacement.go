@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mocha/internal/obs"
+	"mocha/internal/overlay"
 	"mocha/internal/placement"
 	"mocha/internal/wire"
 )
@@ -14,11 +15,12 @@ import (
 // (internal/placement): every site under HomePlacement, the paper's fixed
 // home site alone otherwise. A lock's home can move at runtime:
 //
-//   - Migration: the sweep watches per-site acquire tallies and, when a
-//     remote ring member dominates an idle lock's traffic, freezes the
-//     record, ships it to that site in a HandoffRecord, and leaves a
-//     redirecting tombstone behind. Clients chasing the old home get
-//     NackNotHome with the new address and re-route.
+//   - Migration: the sweep watches per-site acquire tallies and, when
+//     moving an idle lock to a remote ring member would cut its acquirers'
+//     round trips by a margin (migrationTarget), freezes the record, ships
+//     it to that site in a HandoffRecord, and leaves a redirecting
+//     tombstone behind. Clients chasing the old home get NackNotHome with
+//     the new address and re-route.
 //   - Takeover: a dead home's records are promoted elsewhere — by the
 //     standby it streamed them to, or by a surrogate started from its
 //     snapshot (standby.go, surrogate.go) — and a HomeMoved broadcast
@@ -29,8 +31,9 @@ import (
 
 const (
 	// migrateMinAcquires is the tally a lock must accumulate before the
-	// sweep considers moving its home; tallies halve each time they are
-	// considered, so a stale burst decays instead of triggering forever.
+	// sweep considers moving its home. A considered tally halves once it
+	// reaches twice this, so a stale burst decays while a recent split of
+	// 8 to 15 acquires stays in view.
 	migrateMinAcquires = 8
 	// handoffAttempts bounds HandoffRecord (re)sends per migration.
 	handoffAttempts = 3
@@ -311,43 +314,78 @@ func (hs *homeState) noteCollected(id wire.LockID, wasMoved bool) {
 // ---- migration -------------------------------------------------------
 
 // migrationTargetLocked decides whether a lock's home should move, and
-// where; the caller holds l.mu. Only an idle record moves (no holds, no
-// queue), and only toward a ring member whose tally dominates — weighted
-// by observed RTT, so far-away heavy users pull harder than near ones.
+// where; the caller holds l.mu. Only an idle record is considered (no
+// holds, no queue); migrationTarget makes the decision. The tallies halve
+// once they reach twice migrateMinAcquires, not at every decision: a
+// decision to stay keeps its evidence, so every sweep decides on the last
+// 8 to 15 acquires instead of a fresh handful.
 func (hs *homeState) migrationTargetLocked(l *syncLock) (wire.SiteID, bool) {
-	if l.frozen || l.moved != nil || l.holder != nil || len(l.readers) > 0 || len(l.queue) > 0 {
+	if l.frozen || l.moved != nil || l.holder != nil || len(l.readers) > 0 || len(l.queue) > 0 ||
+		l.acqTotal < migrateMinAcquires {
 		return 0, false
 	}
-	if l.acqTotal < migrateMinAcquires {
-		return 0, false
-	}
-	total := l.acqTotal
 	defer func() {
+		if l.acqTotal < 2*migrateMinAcquires {
+			return
+		}
 		for site := range l.acq {
 			l.acq[site] /= 2
 		}
 		l.acqTotal /= 2
 	}()
-	tracker := hs.s.node.OverlayTracker()
-	var best wire.SiteID
-	var bestScore, bestCount uint64
-	for site, count := range l.acq {
-		if site == hs.self || !hs.ring.Contains(site) {
+	rtt := func(wire.SiteID) (time.Duration, bool) { return 0, false }
+	if tracker := hs.s.node.OverlayTracker(); tracker != nil {
+		rtt = tracker.RTT
+	}
+	return migrationTarget(l.acq, l.acqTotal, hs.self, hs.ring.Contains, rtt)
+}
+
+// migrationTarget is the migration rule, a pure function of one lock's
+// decayed per-site acquire tally (acq, summing to total), the incumbent
+// home self, ring membership and the incumbent's round-trip estimates.
+//
+// An acquire costs a round trip to the home, so moving the home from self
+// to a challenger makes the challenger's acquires cheap and every other
+// acquire no cheaper. The acquires that are already cheap count against
+// the move: self's own and, where the round trip is known, those of sites
+// within one locality band of self. The home moves only when the
+// challenger's tally exceeds them by a third of the whole tally; a tie, or
+// anything short of that margin, stays put, so two sites sharing a lock
+// do not toss its home back and forth. Round trips choose among
+// challengers (a far heavy acquirer is worth more than a near one) but
+// never decide stay against move; unknown round trips weigh 1.
+func migrationTarget(acq map[wire.SiteID]uint64, total uint64, self wire.SiteID,
+	member func(wire.SiteID) bool, rtt func(wire.SiteID) (time.Duration, bool)) (wire.SiteID, bool) {
+	if total < migrateMinAcquires {
+		return 0, false
+	}
+	var (
+		best                 wire.SiteID
+		bestScore, bestCount uint64
+		stay                 uint64
+	)
+	for site, count := range acq {
+		if site == self {
+			stay += count
 			continue
 		}
 		weight := uint64(1)
-		if tracker != nil {
-			if rtt, ok := tracker.RTT(site); ok {
-				if ms := uint64(rtt / time.Millisecond); ms > 1 {
-					weight = ms
-				}
+		if d, ok := rtt(site); ok {
+			if d < overlay.DefaultBucketWidth {
+				stay += count
+			}
+			if ms := uint64(d / time.Millisecond); ms > 1 {
+				weight = ms
 			}
 		}
-		if score := count * weight; score > bestScore {
+		if !member(site) {
+			continue
+		}
+		if score := count * weight; score > bestScore || score == bestScore && score > 0 && site < best {
 			best, bestScore, bestCount = site, score, count
 		}
 	}
-	if best == 0 || bestCount*2 < total {
+	if best == 0 || bestCount < stay || 3*(bestCount-stay) < total {
 		return 0, false
 	}
 	return best, true

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"mocha/internal/mnet"
+	"mocha/internal/netsim"
 	"mocha/internal/obs"
 	"mocha/internal/wire"
 )
@@ -194,5 +197,153 @@ func TestHomeMigratesTowardLocality(t *testing.T) {
 	}
 	if err := rlO.Unlock(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMigrationTarget pins the migration rule as a pure function of a
+// lock's tally, its incumbent home and the incumbent's round trips.
+func TestMigrationTarget(t *testing.T) {
+	const self = wire.SiteID(1)
+	rttOf := func(rtts map[wire.SiteID]time.Duration) func(wire.SiteID) (time.Duration, bool) {
+		return func(site wire.SiteID) (time.Duration, bool) {
+			d, ok := rtts[site]
+			return d, ok
+		}
+	}
+	cases := []struct {
+		name   string
+		acq    map[wire.SiteID]uint64
+		rtts   map[wire.SiteID]time.Duration
+		member func(wire.SiteID) bool
+		want   wire.SiteID // 0: stay
+	}{
+		{name: "a tie with the incumbent stays", acq: map[wire.SiteID]uint64{self: 4, 2: 4}},
+		{name: "a tie stays whatever the round trip", acq: map[wire.SiteID]uint64{self: 6, 2: 6},
+			rtts: map[wire.SiteID]time.Duration{2: 30 * time.Millisecond}},
+		{name: "a 2:1 challenger moves", acq: map[wire.SiteID]uint64{self: 3, 2: 6}, want: 2},
+		{name: "short of the margin stays", acq: map[wire.SiteID]uint64{self: 4, 2: 6}},
+		{name: "a non-acquiring home moves to the heavier acquirer",
+			acq: map[wire.SiteID]uint64{2: 5, 3: 3}, want: 2},
+		{name: "equal challengers resolve to the lower site",
+			acq: map[wire.SiteID]uint64{3: 4, 2: 4}, want: 2},
+		{name: "a tally below migrateMinAcquires stays",
+			acq: map[wire.SiteID]uint64{2: migrateMinAcquires - 1}},
+		{name: "round trips pick among challengers",
+			acq:  map[wire.SiteID]uint64{2: 5, 3: 4},
+			rtts: map[wire.SiteID]time.Duration{2: 15 * time.Millisecond, 3: 30 * time.Millisecond}, want: 3},
+		{name: "round trips do not decide stay against move",
+			acq:  map[wire.SiteID]uint64{self: 4, 2: 6},
+			rtts: map[wire.SiteID]time.Duration{2: 30 * time.Millisecond}},
+		{name: "acquirers near the incumbent count against the move",
+			acq:  map[wire.SiteID]uint64{4: 5, 2: 7},
+			rtts: map[wire.SiteID]time.Duration{4: time.Millisecond, 2: 30 * time.Millisecond}},
+		{name: "a site outside the ring is no target",
+			acq: map[wire.SiteID]uint64{9: 12}, member: func(s wire.SiteID) bool { return s != 9 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var total uint64
+			for _, n := range tc.acq {
+				total += n
+			}
+			member := tc.member
+			if member == nil {
+				member = func(wire.SiteID) bool { return true }
+			}
+			to, ok := migrationTarget(tc.acq, total, self, member, rttOf(tc.rtts))
+			if !ok {
+				to = 0
+			}
+			if to != tc.want {
+				t.Fatalf("migrationTarget(%v) = %d, %v; want %d", tc.acq, to, ok, tc.want)
+			}
+		})
+	}
+}
+
+// TestHomesSettleBetweenRegions runs two clients in different regions
+// (a backbone round trip apart) taking strict turns on locks homed at
+// neither. Each lock's home moves once, to one of the clients, and then
+// stays: an even split is a tie, and a tie does not move.
+func TestHomesSettleBetweenRegions(t *testing.T) {
+	const sites = 4
+	opts := placementOpts()
+	opts.mnetCfg = mnet.Config{RTO: 100 * time.Millisecond, MaxRetries: 2}
+	tc := newTestCluster(t, sites, opts)
+	ctx := tctx(t)
+	geo := netsim.RegionalWAN(2).Scaled(0.5)
+	ids := make([]netsim.NodeID, 0, sites)
+	for i := 1; i <= sites; i++ {
+		ids = append(ids, netsim.NodeID(i))
+	}
+	geo.Apply(tc.sn.Underlying(), ids)
+	// Site 1 and site 2 are the clients, one per region; sites 3 and 4
+	// only manage.
+	clients := []wire.SiteID{1, 2}
+	var locks []wire.LockID
+	for lock := wire.LockID(40); len(locks) < 3; lock++ {
+		if h, _ := tc.node(1).homeOf(lock); h > 2 {
+			locks = append(locks, lock)
+		}
+	}
+	type view struct {
+		rl  *ReplicaLock
+		rep *Replica
+	}
+	views := make([][]view, len(clients))
+	for i, site := range clients {
+		for _, lock := range locks {
+			name := fmt.Sprintf("turns-%d", lock)
+			var rl *ReplicaLock
+			var rep *Replica
+			if i == 0 {
+				rl, rep = mustCreate(t, tc.node(site).NewHandle(name), lock, name, []int32{0}, sites)
+			} else {
+				rl, rep = mustAttach(t, tc.node(site).NewHandle(name), lock, name)
+			}
+			views[i] = append(views[i], view{rl, rep})
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // registrations cross the backbone
+	next := int32(0)
+	round := func() {
+		for j := range locks {
+			for i := range clients {
+				v := views[i][j]
+				if err := v.rl.Lock(ctx); err != nil {
+					t.Fatalf("site %d lock %d: %v", clients[i], locks[j], err)
+				}
+				if got := v.rep.Content().IntsData()[0]; j == 0 && got != next {
+					t.Fatalf("site %d read %d, want %d", clients[i], got, next)
+				}
+				if j == 0 {
+					next++
+					v.rep.Content().IntsData()[0] = next
+				}
+				if err := v.rl.Unlock(ctx); err != nil {
+					t.Fatalf("site %d unlock %d: %v", clients[i], locks[j], err)
+				}
+			}
+		}
+	}
+	migrations := func() int64 { return opts.metrics.CounterValue(obs.CHomeMigrations) }
+	for r := 0; migrations() < int64(len(locks)); r++ {
+		if r == 40 {
+			t.Fatalf("after %d rounds %d of %d locks have moved", r, migrations(), len(locks))
+		}
+		round()
+	}
+	settled := migrations()
+	if settled != int64(len(locks)) {
+		t.Fatalf("CHomeMigrations = %d before every lock settled, want one move per lock (%d)", settled, len(locks))
+	}
+	// Every tally now holds at least migrateMinAcquires, so every sweep
+	// from here on decides each idle lock again.
+	for r := 0; r < migrateMinAcquires; r++ {
+		round()
+	}
+	time.Sleep(3 * opts.sweep)
+	if got := migrations(); got != settled {
+		t.Fatalf("CHomeMigrations went %d -> %d while the clients kept taking turns; homes should stay put", settled, got)
 	}
 }

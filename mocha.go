@@ -359,7 +359,7 @@ func WithDisseminationTree() Option { return func(o *options) { o.tree = true } 
 // WithHomePlacement replaces the fixed lock home of the paper's design
 // with a partitioned, mobile lock namespace: lock records are spread over
 // every site by a consistent-hash ring, each home migrates a lock toward
-// the site that dominates its accesses, streams record deltas to its
+// a site that out-acquires the home by a clear margin (a tie stays), streams record deltas to its
 // nearest live member (timed once, by one probe per ring member; ties and
 // silence fall back to the next site by ID), and that standby promotes the
 // records — leases, version floors, and dirty sets intact — if the home
