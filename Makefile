@@ -17,8 +17,12 @@ fmt-check:
 		exit 1; \
 	fi
 
+# vet also covers the benchmark module (benchmark/, its own go.mod), so a
+# core.Config change that breaks its build fails here and not only in a
+# benchmark run.
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet .
 
 build:
 	$(GO) build ./...
@@ -53,10 +57,12 @@ release-order:
 # picks the first ring member in ID-successor order inside the band of the
 # fastest probe answer (the successor when nothing answers) and closes at
 # the first answer plus the band; on a two-region WAN every standby is
-# in-region and still promotes when its home dies; and a release sent while
-# the standby has not promoted is counted lost, not acked and dropped.
+# in-region and still promotes when its home dies; a release sent while
+# the standby has not promoted is counted lost, not acked and dropped; and a
+# home that closes with a release's stream-first push unacked does not
+# record that release.
 standby-order:
-	$(GO) test ./internal/core -count=20 -run 'TestChooseStandby$$|TestStandbyStaysInRegion$$|TestReleaseBeforePromotionIsCounted$$'
+	$(GO) test ./internal/core -count=20 -run 'TestChooseStandby$$|TestStandbyStaysInRegion$$|TestReleaseBeforePromotionIsCounted$$|TestClosingHomeDoesNotRecordUnstreamedRelease$$'
 
 # fuzz-smoke runs the wire-decoder fuzzer briefly on top of its checked-in
 # corpus (testdata/fuzz). Long open-ended fuzzing is a background job, not

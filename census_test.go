@@ -51,7 +51,7 @@ func TestSurfaceCensus(t *testing.T) {
 		max  int
 	}{
 		{"bench.Config", reflect.TypeOf(bench.Config{}), 3},
-		{"core.Config", reflect.TypeOf(core.Config{}), 25},
+		{"core.Config", reflect.TypeOf(core.Config{}), 24},
 		{"mnet.Config", reflect.TypeOf(mnet.Config{}), 8},
 		{"overlay.Config", reflect.TypeOf(overlay.Config{}), 5},
 	} {

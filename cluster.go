@@ -9,9 +9,9 @@ import (
 
 	"mocha/internal/core"
 	"mocha/internal/eventlog"
+	"mocha/internal/marshal"
 	"mocha/internal/mnet"
 	"mocha/internal/netsim"
-	"mocha/internal/obs"
 	"mocha/internal/runtime"
 	"mocha/internal/session"
 	"mocha/internal/trace"
@@ -37,25 +37,22 @@ func NewSimCluster(n int, opts ...Option) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mocha: cluster needs at least one site")
 	}
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	profile := o.profile.Scaled(o.scale)
-	cost := o.cost.Scaled(o.scale)
-
-	sim := transport.NewSimNetwork(netsim.Config{Profile: profile, Seed: o.seed})
-	if o.noMetrics {
-		o.metrics = nil
-	} else if o.metrics == nil {
-		o.metrics = obs.NewRegistry()
-	}
+	o := newOptions(opts)
+	sim := transport.NewSimNetwork(netsim.Config{Profile: o.profile.Scaled(o.scale), Seed: o.seed})
 	// History events and metric spans share the simulated network's clock,
 	// so recorder ticks and span ticks land on one monotone axis and a
 	// history event can be cross-referenced with the span that covers it.
-	o.metrics.SetClock(sim.Clock())
-	if cs, ok := o.history.(interface{ SetClock(*netsim.Clock) }); ok {
+	o.node.Metrics.SetClock(sim.Clock())
+	if cs, ok := o.node.History.(interface{ SetClock(*netsim.Clock) }); ok {
 		cs.SetClock(sim.Clock())
+	}
+	nodes, err := core.StartSimSites(sim, n, func(s *core.SimSite) {
+		s.Config = o.siteConfig(s.Site, s.Stack, s.Directory)
+		s.MNet = o.mnetConfig()
+	})
+	if err != nil {
+		_ = sim.Close()
+		return nil, fmt.Errorf("mocha: %w", err)
 	}
 	c := &Cluster{
 		sim:      sim,
@@ -64,34 +61,14 @@ func NewSimCluster(n int, opts ...Option) (*Cluster, error) {
 		sites:    make(map[SiteID]*Site, n),
 		opts:     o,
 	}
-
-	directory := make(map[SiteID]string, n)
-	stacks := make(map[SiteID]*transport.SimStack, n)
 	for i := 1; i <= n; i++ {
 		site := SiteID(i)
-		stack, err := sim.NewStack(netsim.NodeID(i))
+		s, err := o.withRuntime(nodes[site], c.registry, c.repo)
 		if err != nil {
+			for _, node := range nodes {
+				_ = node.Close()
+			}
 			_ = sim.Close()
-			return nil, fmt.Errorf("mocha: site %d: %w", i, err)
-		}
-		stacks[site] = stack
-		directory[site] = stack.Datagram().LocalAddr()
-	}
-
-	for i := 1; i <= n; i++ {
-		site := SiteID(i)
-		s, err := newSite(siteConfig{
-			id:        site,
-			stack:     stacks[site],
-			directory: directory,
-			isHome:    site == HomeSite,
-			registry:  c.registry,
-			repo:      c.repo,
-			opts:      o,
-			cost:      cost,
-		})
-		if err != nil {
-			_ = c.Close()
 			return nil, fmt.Errorf("mocha: site %d: %w", i, err)
 		}
 		c.sites[site] = s
@@ -155,12 +132,12 @@ func (c *Cluster) Partition(a, b SiteID, cut bool) {
 // Metrics returns the cluster's observability registry (nil when the
 // cluster was built WithoutMetrics). Snapshot it for JSON or Prometheus
 // export, or read individual counters and histograms directly.
-func (c *Cluster) Metrics() *Metrics { return c.opts.metrics }
+func (c *Cluster) Metrics() *Metrics { return c.opts.node.Metrics }
 
 // MetricsSnapshot captures the registry's current counters, gauges,
 // histograms, and recent spans. A cluster built WithoutMetrics yields the
 // zero snapshot.
-func (c *Cluster) MetricsSnapshot() MetricsSnapshot { return c.opts.metrics.Snapshot() }
+func (c *Cluster) MetricsSnapshot() MetricsSnapshot { return c.opts.node.Metrics.Snapshot() }
 
 // NetStats returns simulated-network packet counters.
 func (c *Cluster) NetStats() netsim.Stats { return c.sim.Underlying().Stats() }
@@ -195,79 +172,67 @@ type Site struct {
 	resolver session.Resolver
 }
 
-// siteConfig gathers what newSite needs.
-type siteConfig struct {
-	id        SiteID
-	stack     transport.Stack
-	directory map[SiteID]string
-	isHome    bool
-	registry  *runtime.Registry
-	repo      *runtime.CodeRepository
-	opts      options
-	cost      CostModel
-}
-
-// newSite wires one site together.
-func newSite(sc siteConfig) (*Site, error) {
-	mnetCfg := mnet.Config{
-		Cost:    sc.cost,
-		Key:     sc.opts.key,
-		Metrics: sc.opts.metrics,
+// siteConfig is the options' node config with one site's own fields
+// filled in: identity, stack, directory, codec, scaled cost, event log, and
+// the site's subdirectory of the durable store root. Every site, simulated
+// or real, starts from it.
+func (o *options) siteConfig(id SiteID, stack transport.Stack, directory map[SiteID]string) core.Config {
+	cfg := o.node
+	cfg.Site = id
+	cfg.Stack = stack
+	cfg.Directory = directory
+	cfg.Cost = o.cost.Scaled(o.scale)
+	cfg.Codec = marshal.NewFast(cfg.Cost)
+	if o.javaCodec {
+		cfg.Codec = marshal.NewJavaStyle(cfg.Cost)
 	}
-	if sc.opts.scale < 1 {
-		// Scaled environments have tiny latencies; keep retransmission
-		// timers proportionate so loss tests converge quickly.
-		mnetCfg.RTO = 50 * time.Millisecond
-	}
-	ep := mnet.NewEndpoint(sc.stack.Datagram(), mnetCfg)
-
-	logger := eventlog.New(1 << 14)
-	storeDir := ""
-	if sc.opts.storeDir != "" {
+	cfg.Log = eventlog.New(1 << 14)
+	if cfg.StoreDir != "" {
 		// Each site persists under its own subdirectory, so one cluster
 		// root can host every site's log — and a single-site process
 		// restarted on the same root finds its own state.
-		storeDir = filepath.Join(sc.opts.storeDir, fmt.Sprintf("site-%d", sc.id))
+		cfg.StoreDir = filepath.Join(cfg.StoreDir, fmt.Sprintf("site-%d", id))
 	}
-	node, err := core.NewNode(core.Config{
-		Site:                wire.SiteID(sc.id),
-		Endpoint:            ep,
-		Stack:               sc.stack,
-		Directory:           sc.directory,
-		IsHome:              sc.isHome,
-		HomePlacement:       sc.opts.placement,
-		Codec:               sc.opts.codec(),
-		Cost:                sc.cost,
-		Mode:                sc.opts.mode,
-		StreamReuse:         sc.opts.streamReuse,
-		DeltaTransfer:       sc.opts.delta,
-		DisseminationFanout: sc.opts.fanout,
-		DisseminationTree:   sc.opts.tree,
-		RequestTimeout:      sc.opts.reqTimeout,
-		TransferTimeout:     sc.opts.xferTimeout,
-		DefaultLease:        sc.opts.lease,
-		LeaseSweep:          sc.opts.leaseSweep,
-		Log:                 logger,
-		History:             sc.opts.history,
-		Metrics:             sc.opts.metrics,
-		StoreDir:            storeDir,
-		StoreMemLimit:       sc.opts.storeLimit,
-	})
+	return cfg
+}
+
+// mnetConfig is every site's endpoint config.
+func (o *options) mnetConfig() mnet.Config {
+	cfg := mnet.Config{Cost: o.cost.Scaled(o.scale), Key: o.key, Metrics: o.node.Metrics}
+	if o.scale < 1 {
+		// Scaled environments have tiny latencies; keep retransmission
+		// timers proportionate so loss tests converge quickly.
+		cfg.RTO = 50 * time.Millisecond
+	}
+	return cfg
+}
+
+// newSite starts one real site over stack.
+func newSite(o *options, id SiteID, stack transport.Stack, directory map[SiteID]string, registry *runtime.Registry, repo *runtime.CodeRepository) (*Site, error) {
+	cfg := o.siteConfig(id, stack, directory)
+	cfg.Endpoint = mnet.NewEndpoint(stack.Datagram(), o.mnetConfig())
+	node, err := core.NewNode(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return o.withRuntime(node, registry, repo)
+}
+
+// withRuntime layers the wide-area runtime over a started node; on error
+// it closes the node.
+func (o *options) withRuntime(node *core.Node, registry *runtime.Registry, repo *runtime.CodeRepository) (*Site, error) {
 	perms := runtime.AllPermissions()
-	if sc.opts.perms != nil {
-		perms = *sc.opts.perms
+	if o.perms != nil {
+		perms = *o.perms
 	}
 	var out io.Writer
-	if sc.opts.output != nil {
-		out = sc.opts.output
+	if o.output != nil {
+		out = o.output
 	}
 	rt, err := runtime.New(node, runtime.Config{
-		Registry:        sc.registry,
-		Repo:            sc.repo,
-		MaxServers:      sc.opts.maxServers,
+		Registry:        registry,
+		Repo:            repo,
+		MaxServers:      o.maxServers,
 		Output:          out,
 		TaskPermissions: perms,
 	})
@@ -275,7 +240,7 @@ func newSite(sc siteConfig) (*Site, error) {
 		_ = node.Close()
 		return nil, err
 	}
-	return &Site{node: node, rt: rt, resolver: sc.opts.resolver}, nil
+	return &Site{node: node, rt: rt, resolver: o.resolver}, nil
 }
 
 // ID returns the site's identifier.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mocha/internal/hostfile"
-	"mocha/internal/obs"
 	"mocha/internal/runtime"
 	"mocha/internal/transport"
 )
@@ -29,15 +28,7 @@ func JoinCluster(hostfilePath string, id SiteID, registry *Registry, opts ...Opt
 // (site ID to UDP endpoint address), for callers that build the directory
 // programmatically.
 func JoinClusterEntries(directory map[SiteID]string, id SiteID, registry *Registry, opts ...Option) (*Site, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.noMetrics {
-		o.metrics = nil
-	} else if o.metrics == nil {
-		o.metrics = obs.NewRegistry()
-	}
+	o := newOptions(opts)
 	addr, ok := directory[id]
 	if !ok {
 		return nil, fmt.Errorf("mocha: site %d not in host file", id)
@@ -54,16 +45,7 @@ func JoinClusterEntries(directory map[SiteID]string, id SiteID, registry *Regist
 	for _, name := range registry.Names() {
 		repo.Add(name, []byte("mocha class image: "+name))
 	}
-	s, err := newSite(siteConfig{
-		id:        id,
-		stack:     stack,
-		directory: directory,
-		isHome:    id == HomeSite,
-		registry:  registry,
-		repo:      repo,
-		opts:      o,
-		cost:      o.cost.Scaled(o.scale),
-	})
+	s, err := newSite(&o, id, stack, directory, registry, repo)
 	if err != nil {
 		_ = stack.Close()
 		return nil, err

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"mocha/internal/core"
-	"mocha/internal/eventlog"
 	"mocha/internal/marshal"
 	"mocha/internal/mnet"
 	"mocha/internal/netsim"
@@ -165,23 +164,8 @@ func newHarnessOpts(cfg Config, e env, mode core.TransferMode, n int, ho harness
 	codec := marshal.NewJavaStyle(scaledCost)
 
 	sim := transport.NewSimNetwork(netsim.Config{Profile: e.profile.Scaled(cfg.Scale), Seed: 99})
-	h := &harness{cfg: cfg, sim: sim, nodes: make(map[wire.SiteID]*core.Node), cost: scaledCost, codec: codec}
-
-	directory := make(map[wire.SiteID]string, n)
-	stacks := make(map[wire.SiteID]*transport.SimStack, n)
-	for i := 1; i <= n; i++ {
-		site := wire.SiteID(i)
-		stack, err := sim.NewStack(netsim.NodeID(i))
-		if err != nil {
-			_ = sim.Close()
-			return nil, err
-		}
-		stacks[site] = stack
-		directory[site] = stack.Datagram().LocalAddr()
-	}
-	for i := 1; i <= n; i++ {
-		site := wire.SiteID(i)
-		ep := mnet.NewEndpoint(stacks[site].Datagram(), mnet.Config{
+	nodes, err := core.StartSimSites(sim, n, func(s *core.SimSite) {
+		s.MNet = mnet.Config{
 			Cost: scaledCost,
 			// Generous retransmission timing: the harness runs lossless
 			// links, and large scaled costs must never trigger spurious
@@ -189,29 +173,20 @@ func newHarnessOpts(cfg Config, e env, mode core.TransferMode, n int, ho harness
 			RTO:        2 * time.Second,
 			MaxRetries: 5,
 			Window:     256,
-		})
-		node, err := core.NewNode(core.Config{
-			Site:                site,
-			Endpoint:            ep,
-			Stack:               stacks[site],
-			Directory:           directory,
-			IsHome:              site == wire.HomeSite,
-			Codec:               codec,
-			Cost:                scaledCost,
-			Mode:                mode,
-			StreamReuse:         ho.streamReuse,
-			DisseminationFanout: ho.disseminationFanout(),
-			RequestTimeout:      30 * time.Second,
-			TransferTimeout:     120 * time.Second,
-			Log:                 eventlog.Nop(),
-		})
-		if err != nil {
-			_ = h.Close()
-			return nil, err
 		}
-		h.nodes[site] = node
+		s.Codec = codec
+		s.Cost = scaledCost
+		s.Mode = mode
+		s.StreamReuse = ho.streamReuse
+		s.DisseminationFanout = ho.disseminationFanout()
+		s.RequestTimeout = 30 * time.Second
+		s.TransferTimeout = 120 * time.Second
+	})
+	if err != nil {
+		_ = sim.Close()
+		return nil, err
 	}
-	return h, nil
+	return &harness{cfg: cfg, sim: sim, nodes: nodes, cost: scaledCost, codec: codec}, nil
 }
 
 // Close tears the harness down.

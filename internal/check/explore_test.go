@@ -252,55 +252,34 @@ func newExplorer(t *testing.T, sched check.Schedule, cfg runConfig, plan *faultP
 		sn:     sn,
 		rec:    check.NewRecorder(0, sn.Clock()),
 		mon:    check.NewMonitor(0),
-		nodes:  make(map[wire.SiteID]*core.Node, cfg.sites),
 		counts: make(map[core.FaultPoint]int),
 		killed: make(map[wire.SiteID]bool),
 		doomed: make(map[wire.ThreadID]bool),
 	}
 	e.mon.SetReplay(fmt.Sprintf("go test ./internal/check -run TestExploreGuided -schedule=%s", sched.Encode()))
-	directory := make(map[wire.SiteID]string, cfg.sites)
-	stacks := make(map[wire.SiteID]*transport.SimStack, cfg.sites)
-	for i := 1; i <= cfg.sites; i++ {
-		stack, err := sn.NewStack(netsim.NodeID(i))
-		if err != nil {
-			t.Fatalf("stack %d: %v", i, err)
-		}
-		stacks[wire.SiteID(i)] = stack
-		directory[wire.SiteID(i)] = stack.Datagram().LocalAddr()
-	}
-	for i := 1; i <= cfg.sites; i++ {
-		site := wire.SiteID(i)
-		var skew time.Duration
+	nodes, err := core.StartSimSites(sn, cfg.sites, func(s *core.SimSite) {
 		for _, sk := range sched.Skews {
-			if wire.SiteID(sk.Site) == site {
-				skew = time.Duration(sk.MS) * time.Millisecond
+			if wire.SiteID(sk.Site) == s.Site {
+				s.LeaseSkew = time.Duration(sk.MS) * time.Millisecond
 			}
 		}
-		ep := mnet.NewEndpoint(stacks[site].Datagram(), mnet.Config{RTO: 25 * time.Millisecond, MaxRetries: 4})
-		node, err := core.NewNode(core.Config{
-			Site:                site,
-			Endpoint:            ep,
-			Stack:               stacks[site],
-			Directory:           directory,
-			IsHome:              site == wire.HomeSite,
-			HomePlacement:       cfg.placement,
-			Mode:                cfg.mode,
-			DeltaTransfer:       cfg.delta,
-			DisseminationFanout: cfg.fanout,
-			RequestTimeout:      300 * time.Millisecond,
-			TransferTimeout:     time.Second,
-			DefaultLease:        500 * time.Millisecond,
-			LeaseSweep:          25 * time.Millisecond,
-			LeaseSkew:           skew,
-			Log:                 eventlog.New(1 << 14),
-			History:             check.MultiSink(e.rec, e.mon),
-			FaultHook:           e.hook,
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		e.nodes[site] = node
+		s.MNet = mnet.Config{RTO: 25 * time.Millisecond, MaxRetries: 4}
+		s.HomePlacement = cfg.placement
+		s.Mode = cfg.mode
+		s.DeltaTransfer = cfg.delta
+		s.DisseminationFanout = cfg.fanout
+		s.RequestTimeout = 300 * time.Millisecond
+		s.TransferTimeout = time.Second
+		s.DefaultLease = 500 * time.Millisecond
+		s.LeaseSweep = 25 * time.Millisecond
+		s.Log = eventlog.New(1 << 14)
+		s.History = check.MultiSink(e.rec, e.mon)
+		s.FaultHook = e.hook
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	e.nodes = nodes
 	return e
 }
 
@@ -480,11 +459,35 @@ func (e *explorer) setup(ctx context.Context) error {
 	return nil
 }
 
+// startOrder makes the workers' first operations take turns: worker k (in
+// site, then index order) takes its first once turn k is open, opens turn
+// k+1 when done or giving up, and runs free once the last turn is open. So
+// the first lock holds — the early occurrences a derived fault plan names,
+// kill-lock-holder's among them — fall to the same sites on every run.
+type startOrder []chan struct{}
+
+func newStartOrder(workers int) startOrder {
+	o := make(startOrder, workers+1)
+	for k := range o {
+		o[k] = make(chan struct{})
+	}
+	close(o[0])
+	return o
+}
+
 // worker is one application thread: it associates with every lock, then
 // runs a random mix of exclusive writes and shared reads. Operation errors
 // end the worker — under injected faults, liveness is best-effort; safety
-// is the checker's job.
-func (e *explorer) worker(site wire.SiteID, idx int) {
+// is the checker's job. order, when non-nil, sequences its first operation
+// as turn k.
+func (e *explorer) worker(site wire.SiteID, idx int, order startOrder, k int) {
+	var passed sync.Once
+	pass := func() {
+		if order != nil {
+			passed.Do(func() { close(order[k+1]) })
+		}
+	}
+	defer pass()
 	wseed := e.sched.Seed
 	if e.cfg.wlSeed != 0 {
 		wseed = e.cfg.wlSeed
@@ -513,6 +516,15 @@ func (e *explorer) worker(site wire.SiteID, idx int) {
 	}
 
 	for op := 0; op < e.cfg.ops; op++ {
+		if order != nil {
+			switch op {
+			case 0:
+				<-order[k]
+			case 1:
+				pass()
+				<-order[len(order)-1]
+			}
+		}
 		if e.isKilled(site) || e.ctx.Err() != nil {
 			return
 		}
@@ -552,26 +564,28 @@ func (e *explorer) worker(site wire.SiteID, idx int) {
 	}
 }
 
+// close shuts the live nodes and the network down.
+func (e *explorer) close() {
+	e.mu.Lock()
+	var live []*core.Node
+	for site, node := range e.nodes {
+		if !e.killed[site] {
+			live = append(live, node)
+		}
+	}
+	e.mu.Unlock()
+	// Closed outside e.mu: Close waits out the node's release carriage,
+	// and a carriage goroutine (a late grant handed back, say) may be
+	// inside the fault hook, waiting for e.mu.
+	for _, node := range live {
+		_ = node.Close()
+	}
+	_ = e.sn.Close()
+}
+
 // run executes the schedule end to end and returns the recorded history.
 func (e *explorer) run() []wire.HistoryEvent {
-	defer func() {
-		e.mu.Lock()
-		var live []*core.Node
-		for site, node := range e.nodes {
-			if !e.killed[site] {
-				live = append(live, node)
-			}
-		}
-		e.mu.Unlock()
-		// Closed outside e.mu: Close waits out the node's release carriage,
-		// and a carriage goroutine (a late grant handed back, say) may be
-		// inside the fault hook, waiting for e.mu.
-		for _, node := range live {
-			_ = node.Close()
-		}
-		_ = e.sn.Close()
-	}()
-
+	defer e.close()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := e.setup(ctx); err != nil {
@@ -589,13 +603,14 @@ func (e *explorer) run() []wire.HistoryEvent {
 	e.arm(ctx)
 
 	var wg sync.WaitGroup
+	order := newStartOrder(e.cfg.sites * e.cfg.workers)
 	for i := 1; i <= e.cfg.sites; i++ {
 		for w := 0; w < e.cfg.workers; w++ {
-			site, w := wire.SiteID(i), w
+			site, w, k := wire.SiteID(i), w, (i-1)*e.cfg.workers+w
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e.worker(site, w)
+				e.worker(site, w, order, k)
 			}()
 		}
 	}
@@ -883,12 +898,7 @@ func TestExploreReplayDeterminism(t *testing.T) {
 		}
 		plan := &faultPlan{fires: make(map[core.FaultPoint]map[int]bool)}
 		e := newExplorer(t, check.Schedule{Seed: seed, Fires: map[string][]int{}}, cfg, plan)
-		defer func() {
-			for _, node := range e.nodes {
-				_ = node.Close()
-			}
-			_ = e.sn.Close()
-		}()
+		defer e.close()
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		if err := e.setup(ctx); err != nil {
@@ -898,7 +908,7 @@ func TestExploreReplayDeterminism(t *testing.T) {
 		// Strictly sequential: one worker at a time, with a settle between
 		// them so every run interleaves identically.
 		for i := 1; i <= cfg.sites; i++ {
-			e.worker(wire.SiteID(i), 0)
+			e.worker(wire.SiteID(i), 0, nil, 0)
 			settle(20 * time.Millisecond)
 		}
 		if v := check.CheckRecorder(e.rec); v != nil {

@@ -10,7 +10,6 @@ import (
 	"mocha/internal/marshal"
 	"mocha/internal/mnet"
 	"mocha/internal/netsim"
-	"mocha/internal/obs"
 	"mocha/internal/transport"
 	"mocha/internal/wire"
 )
@@ -21,22 +20,16 @@ type testCluster struct {
 	sn    *transport.SimNetwork
 	nodes map[wire.SiteID]*Node
 	rec   *check.Recorder
-	// start builds a site's node over a stack; restart reuses it.
-	start func(site wire.SiteID, stack *transport.SimStack)
+	// site fills in a site's config; restart reuses it.
+	site func(*SimSite)
 }
 
+// clusterOpts is a test cluster's shape: Config is every site's node
+// config, to which each site's own fields and the rest below are added.
 type clusterOpts struct {
-	mode    TransferMode
+	Config
 	profile netsim.Profile
-	lease   time.Duration
-	sweep   time.Duration
-	reqTO   time.Duration
 	mnetCfg mnet.Config
-	reuse   bool
-	fanout  int
-	xferTO  time.Duration
-	// delta enables delta replica transfer.
-	delta bool
 	// wrapStack lets fault tests interpose on a site's transport stack.
 	wrapStack func(site wire.SiteID, s transport.Stack) transport.Stack
 	// wrapDatagram lets fault tests interpose on the packets a site's mnet
@@ -44,101 +37,56 @@ type clusterOpts struct {
 	wrapDatagram func(site wire.SiteID, d transport.Datagram) transport.Datagram
 	// faultHooks installs a per-site FaultHook (missing sites get none).
 	faultHooks map[wire.SiteID]FaultHook
-	// tree enables locality-aware dissemination; treeMin overrides the
-	// sharer threshold (0 = default).
-	tree    bool
-	treeMin int
-	// metrics, when non-nil, is shared by every site.
-	metrics *obs.Registry
-	// placement enables the consistent-hash mobile lock namespace.
-	placement bool
 	// storeDirs backs the named sites with a durable store (missing sites
-	// keep the in-memory one); storeMemLimit caps each durable store's
-	// cached payload bytes (0 = no cap).
-	storeDirs     map[wire.SiteID]string
-	storeMemLimit int
+	// keep the in-memory one).
+	storeDirs map[wire.SiteID]string
 }
 
 func defaultOpts() clusterOpts {
 	return clusterOpts{
-		mode:    ModeMNet,
+		Config: Config{
+			RequestTimeout:  2 * time.Second,
+			TransferTimeout: 10 * time.Second,
+			LeaseSweep:      50 * time.Millisecond,
+		},
 		profile: netsim.Perfect(),
-		lease:   30 * time.Second,
-		sweep:   50 * time.Millisecond,
-		reqTO:   2 * time.Second,
 		mnetCfg: mnet.Config{RTO: 25 * time.Millisecond, MaxRetries: 4},
 	}
 }
 
 // newTestCluster starts n sites; site 1 is home. Every cluster records its
-// protocol history and replays it through the entry-consistency checker at
-// cleanup, so each integration test doubles as an invariant check. The
-// network seed honors MOCHA_TEST_SEED and is logged for replay.
+// protocol history and replays it through the entry-consistency checker and
+// the online monitor at cleanup, so each integration test doubles as an
+// invariant check. The network seed honors MOCHA_TEST_SEED and is logged
+// for replay.
 func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 	t.Helper()
 	seed := netsim.SeedFromEnv(17)
 	t.Logf("cluster network seed %d (set %s to replay)", seed, netsim.SeedEnv)
 	sn := transport.NewSimNetwork(netsim.Config{Profile: opts.profile, Seed: seed})
 	rec := check.NewRecorder(0, sn.Clock())
-	tc := &testCluster{sn: sn, nodes: make(map[wire.SiteID]*Node), rec: rec}
-
-	directory := make(map[wire.SiteID]string, n)
-	stacks := make(map[wire.SiteID]*transport.SimStack, n)
-	for i := 1; i <= n; i++ {
-		site := wire.SiteID(i)
-		stack, err := sn.NewStack(netsim.NodeID(i))
-		if err != nil {
-			t.Fatalf("stack %d: %v", i, err)
-		}
-		stacks[site] = stack
-		directory[site] = stack.Datagram().LocalAddr()
-	}
-	tc.start = func(site wire.SiteID, simStack *transport.SimStack) {
-		dg := simStack.Datagram()
-		if opts.wrapDatagram != nil {
-			dg = opts.wrapDatagram(site, dg)
-		}
-		ep := mnet.NewEndpoint(dg, opts.mnetCfg)
-		var stack transport.Stack = simStack
+	tc := &testCluster{sn: sn, rec: rec}
+	tc.site = func(s *SimSite) {
+		cfg := opts.Config
+		cfg.Site, cfg.Stack, cfg.Directory = s.Site, s.Stack, s.Directory
 		if opts.wrapStack != nil {
-			stack = opts.wrapStack(site, stack)
+			cfg.Stack = opts.wrapStack(cfg.Site, cfg.Stack)
 		}
-		xferTO := opts.xferTO
-		if xferTO == 0 {
-			xferTO = 10 * time.Second
+		if opts.wrapDatagram != nil {
+			s.Datagram = opts.wrapDatagram(cfg.Site, s.Datagram)
 		}
-		node, err := NewNode(Config{
-			Site:                site,
-			Endpoint:            ep,
-			Stack:               stack,
-			Directory:           directory,
-			IsHome:              site == wire.HomeSite,
-			HomePlacement:       opts.placement,
-			Mode:                opts.mode,
-			StreamReuse:         opts.reuse,
-			DeltaTransfer:       opts.delta,
-			DisseminationFanout: opts.fanout,
-			DisseminationTree:   opts.tree,
-			TreeMinSharers:      opts.treeMin,
-			Metrics:             opts.metrics,
-			FaultHook:           opts.faultHooks[site],
-			StoreDir:            opts.storeDirs[site],
-			StoreMemLimit:       opts.storeMemLimit,
-			RequestTimeout:      opts.reqTO,
-			TransferTimeout:     xferTO,
-			DefaultLease:        opts.lease,
-			LeaseSweep:          opts.sweep,
-			Log:                 eventlog.New(1 << 14),
-			History:             rec,
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", site, err)
-		}
-		tc.nodes[site] = node
+		cfg.FaultHook = opts.faultHooks[cfg.Site]
+		cfg.StoreDir = opts.storeDirs[cfg.Site]
+		cfg.Log = eventlog.New(1 << 14)
+		cfg.History = rec
+		s.Config, s.MNet = cfg, opts.mnetCfg
 	}
-	for i := 1; i <= n; i++ {
-		tc.start(wire.SiteID(i), stacks[wire.SiteID(i)])
+	nodes, err := StartSimSites(sn, n, tc.site)
+	if err != nil {
+		_ = sn.Close()
+		t.Fatal(err)
 	}
+	tc.nodes = nodes
 	t.Cleanup(func() {
 		for _, node := range tc.nodes {
 			_ = node.Close()
@@ -148,10 +96,15 @@ func newTestCluster(t *testing.T, n int, opts clusterOpts) *testCluster {
 		if v := check.Check(events); v != nil {
 			t.Errorf("history violates entry consistency (seed %d): %v", seed, v)
 		}
+		mon := check.NewMonitor(0)
 		for _, ev := range events {
+			mon.Record(ev)
 			if ev.Kind == wire.HistTransferSend && ev.Sites.Contains(ev.Site) {
 				t.Errorf("site %d transferred lock %d v%d to itself (seed %d)", ev.Site, ev.Lock, ev.Version, seed)
 			}
+		}
+		if cx := mon.Err(); cx != nil {
+			t.Errorf("history trips the online monitor (seed %d): %v", seed, cx)
 		}
 	})
 	return tc
@@ -175,8 +128,12 @@ func (tc *testCluster) restart(t *testing.T, site wire.SiteID) *Node {
 	if err != nil {
 		t.Fatalf("restart site %d: %v", site, err)
 	}
-	tc.start(site, stack)
-	return tc.nodes[site]
+	node, err := startSimSite(site, stack, tc.nodes[site].cfg.Directory, tc.site)
+	if err != nil {
+		t.Fatalf("restart site %d: %v", site, err)
+	}
+	tc.nodes[site] = node
+	return node
 }
 
 // standbyOf returns the standby a placement home streams its records to:

@@ -103,8 +103,8 @@ type Config struct {
 	// Directory maps every site to its endpoint address, as read from the
 	// host file.
 	Directory map[wire.SiteID]string
-	// IsHome starts the synchronization thread on this node. Every ring
-	// member runs one regardless.
+	// Deprecated: ignored (ring membership decides who runs a sync
+	// thread); it stays only while benchmark/ still sets it.
 	IsHome bool
 	// HomePlacement spreads the lock namespace over a consistent-hash ring
 	// of every site in the directory: each runs a synchronization thread
@@ -144,13 +144,9 @@ type Config struct {
 	// measured RTT, one relay per bucket receives the version and re-fans
 	// it locally, so the releaser's uplink carries O(regions) frames per
 	// release instead of O(sharers). Off by default — the paper's flat
-	// fan-out — and ignored below TreeMinSharers or for partial-UR
+	// fan-out — and ignored below treeMinSharers or for partial-UR
 	// dissemination, which keep the §4 replacement walk.
 	DisseminationTree bool
-	// TreeMinSharers is the sharer count below which DisseminationTree
-	// keeps the flat fan-out (default 8): with few targets a relay hop
-	// only adds latency.
-	TreeMinSharers int
 	// RequestTimeout bounds control-message sends (default 5s).
 	RequestTimeout time.Duration
 	// TransferTimeout bounds replica data transfers (default 60s).
@@ -202,9 +198,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Mode == 0 {
 		c.Mode = ModeMNet
-	}
-	if c.TreeMinSharers <= 0 {
-		c.TreeMinSharers = 8
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -373,7 +366,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if n.xfer, err = newTransferService(n); err != nil {
 		return nil, fmt.Errorf("core: start transfer service: %w", err)
 	}
-	if cfg.IsHome || n.ring.Contains(cfg.Site) {
+	if n.ring.Contains(cfg.Site) {
 		if n.sync, err = newSyncThread(n, 1); err != nil {
 			return nil, fmt.Errorf("core: start synchronization thread: %w", err)
 		}

@@ -434,7 +434,7 @@ func TestHybridModeEndToEnd(t *testing.T) {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			opts := defaultOpts()
-			opts.mode = mode
+			opts.Mode = mode
 			tc := newTestCluster(t, 3, opts)
 			ctx := tctx(t)
 
@@ -472,7 +472,7 @@ func TestHybridModeEndToEnd(t *testing.T) {
 
 func TestCachedReplicas(t *testing.T) {
 	opts := defaultOpts()
-	opts.metrics = obs.NewRegistry()
+	opts.Metrics = obs.NewRegistry()
 	tc := newTestCluster(t, 3, opts)
 	ctx := tctx(t)
 
@@ -523,7 +523,7 @@ func TestCachedReplicas(t *testing.T) {
 	// Nobody waits on a cached publish, so no site may answer it: an ack
 	// would follow the apply by one zero-delay hop.
 	settle()
-	if got := opts.metrics.CounterValue(obs.CPushAcks); got != 0 {
+	if got := opts.Metrics.CounterValue(obs.CPushAcks); got != 0 {
 		t.Fatalf("cached publish drew %d push acks, want 0", got)
 	}
 }
@@ -713,7 +713,7 @@ func TestTwoLocalThreadsSameReplicaName(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	opts := defaultOpts()
-	opts.mode = ModeHybrid
+	opts.Mode = ModeHybrid
 	tc := newTestCluster(t, 2, opts)
 	n := tc.node(2)
 

@@ -17,8 +17,8 @@ import (
 // observability plane must have counted every push, byte and delta.
 func TestDeltaTransferEndToEnd(t *testing.T) {
 	opts := defaultOpts()
-	opts.delta = true
-	opts.metrics = obs.NewRegistry()
+	opts.DeltaTransfer = true
+	opts.Metrics = obs.NewRegistry()
 	tc := newTestCluster(t, 2, opts)
 	ctx := tctx(t)
 
@@ -121,7 +121,7 @@ func TestDeltaTransferEndToEnd(t *testing.T) {
 
 	// The registry is fed where the per-node tallies are; an instrumented
 	// run that disagrees with them has lost an instrument.
-	reg := opts.metrics
+	reg := opts.Metrics
 	if got := reg.CounterValue(obs.CTransfersDelta); got != deltas {
 		t.Errorf("plane counted %d delta transfers, nodes sent %d", got, deltas)
 	}
@@ -186,7 +186,7 @@ func TestDeltaDisabledBaseline(t *testing.T) {
 func TestDeltaFallbackEvictedLog(t *testing.T) {
 	const behind = deltaLogDepth + 3
 	opts := defaultOpts()
-	opts.delta = true
+	opts.DeltaTransfer = true
 	tc := newTestCluster(t, 2, opts)
 	ctx := tctx(t)
 
@@ -244,7 +244,7 @@ func TestDeltaFallbackEvictedLog(t *testing.T) {
 // still lands afterwards.
 func TestDeltaRejectionPaths(t *testing.T) {
 	opts := defaultOpts()
-	opts.delta = true
+	opts.DeltaTransfer = true
 	tc := newTestCluster(t, 2, opts)
 	ctx := tctx(t)
 
@@ -336,7 +336,7 @@ func TestDeltaRejectionPaths(t *testing.T) {
 // protocol's nack/fallback loop converges on the sender's state.
 func TestDeltaNackTriggersFullResend(t *testing.T) {
 	opts := defaultOpts()
-	opts.delta = true
+	opts.DeltaTransfer = true
 	tc := newTestCluster(t, 2, opts)
 	ctx := tctx(t)
 
@@ -403,7 +403,7 @@ const headerBytes = 5
 // it).
 func TestAdaptiveThresholdBoundary(t *testing.T) {
 	opts := defaultOpts()
-	opts.mode = ModeAdaptive
+	opts.Mode = ModeAdaptive
 	tc := newTestCluster(t, 2, opts)
 
 	x := tc.node(1).xfer
@@ -429,9 +429,9 @@ func TestAdaptiveThresholdBoundary(t *testing.T) {
 // closed) when the destination dies, and Node.Close drops every entry.
 func TestStreamCacheEviction(t *testing.T) {
 	opts := defaultOpts()
-	opts.mode = ModeHybrid
-	opts.reuse = true
-	opts.xferTO = 2 * time.Second
+	opts.Mode = ModeHybrid
+	opts.StreamReuse = true
+	opts.TransferTimeout = 2 * time.Second
 	tc := newTestCluster(t, 3, opts)
 	ctx := tctx(t)
 

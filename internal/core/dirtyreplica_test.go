@@ -20,9 +20,9 @@ import (
 func TestBrokenHoldDirtyBytesRefetched(t *testing.T) {
 	var armed atomic.Bool
 	opts := defaultOpts()
-	opts.lease = 200 * time.Millisecond
-	opts.sweep = 50 * time.Millisecond
-	opts.reqTO = 500 * time.Millisecond
+	opts.DefaultLease = 200 * time.Millisecond
+	opts.LeaseSweep = 50 * time.Millisecond
+	opts.RequestTimeout = 500 * time.Millisecond
 	opts.faultHooks = map[wire.SiteID]FaultHook{
 		2: func(fc FaultContext) FaultDecision {
 			if fc.Point == FPCrashAfterReleaseBeforePush && armed.CompareAndSwap(true, false) {

@@ -13,6 +13,10 @@ import (
 	"mocha/internal/wire"
 )
 
+// treeMinSharers is the candidate count below which Config.DisseminationTree
+// keeps the flat fan-out: with few targets a relay hop only adds latency.
+const treeMinSharers = 8
+
 // leg is one step of a dissemination plan: a push straight to a sharer, or
 // — when members is non-empty — a RelayPush to a bucket relay that applies
 // the version and re-fans it to its members over its local links.
@@ -186,7 +190,7 @@ func (t *transferService) disseminate(ctx context.Context, lock wire.LockID, ver
 	if t.node.cfg.DisseminationTree {
 		group = t.tracker.Plan
 	}
-	p := planDissemination(candidates, upToDate, want, delta != nil, group, t.node.cfg.TreeMinSharers, t.node.cfg.DisseminationFanout)
+	p := planDissemination(candidates, upToDate, want, delta != nil, group, treeMinSharers, t.node.cfg.DisseminationFanout)
 	confirmed, _ := t.execute(ctx, pb, p, false)
 
 	var acked []wire.SiteID

@@ -19,9 +19,8 @@ import (
 // debugIgnoreHolder switch and drives a two-site cluster into it: site 1's
 // thread acquires exclusively, then site 2's acquire is granted while the
 // first hold is still live. Every protocol event flows into sink. The
-// cluster is built by hand (not newTestCluster) because the shared harness
-// fails any test whose history violates entry consistency, which is the
-// callers' point.
+// cluster is not a newTestCluster because that harness fails any test
+// whose history violates entry consistency, which is the callers' point.
 func provokeDoubleGrant(t *testing.T, sink HistorySink) {
 	t.Helper()
 	debugIgnoreHolder = true
@@ -31,37 +30,16 @@ func provokeDoubleGrant(t *testing.T, sink HistorySink) {
 	defer func() { _ = sn.Close() }()
 
 	const n = 2
-	directory := make(map[wire.SiteID]string, n)
-	stacks := make(map[wire.SiteID]*transport.SimStack, n)
-	for i := 1; i <= n; i++ {
-		stack, err := sn.NewStack(netsim.NodeID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stacks[wire.SiteID(i)] = stack
-		directory[wire.SiteID(i)] = stack.Datagram().LocalAddr()
-	}
-	nodes := make(map[wire.SiteID]*Node, n)
-	for i := 1; i <= n; i++ {
-		site := wire.SiteID(i)
-		ep := mnet.NewEndpoint(stacks[site].Datagram(), mnet.Config{RTO: 25 * time.Millisecond, MaxRetries: 4})
-		node, err := NewNode(Config{
-			Site:            site,
-			Endpoint:        ep,
-			Stack:           stacks[site],
-			Directory:       directory,
-			IsHome:          site == wire.HomeSite,
-			RequestTimeout:  2 * time.Second,
-			TransferTimeout: 5 * time.Second,
-			DefaultLease:    30 * time.Second,
-			LeaseSweep:      50 * time.Millisecond,
-			Log:             eventlog.New(1 << 14),
-			History:         sink,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[site] = node
+	nodes, err := StartSimSites(sn, n, func(s *SimSite) {
+		s.MNet = mnet.Config{RTO: 25 * time.Millisecond, MaxRetries: 4}
+		s.RequestTimeout = 2 * time.Second
+		s.TransferTimeout = 5 * time.Second
+		s.LeaseSweep = 50 * time.Millisecond
+		s.Log = eventlog.New(1 << 14)
+		s.History = sink
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer func() {
 		for _, node := range nodes {

@@ -106,7 +106,7 @@ func TestPushPayloadsMarshalOnce(t *testing.T) {
 // marshal-once.
 func TestSequentialFanoutOrder(t *testing.T) {
 	opts := defaultOpts()
-	opts.fanout = 1
+	opts.DisseminationFanout = 1
 	tc := newTestCluster(t, 4, opts)
 	ctx := tctx(t)
 
@@ -146,7 +146,7 @@ func TestSequentialFanoutOrder(t *testing.T) {
 func TestParallelDisseminationWithFaults(t *testing.T) {
 	opts := defaultOpts()
 	opts.mnetCfg.MaxRetries = 8
-	opts.xferTO = 2 * time.Second
+	opts.TransferTimeout = 2 * time.Second
 	tc := newTestCluster(t, 6, opts)
 	ctx := tctx(t)
 
@@ -222,7 +222,7 @@ func TestParallelDisseminationWithFaults(t *testing.T) {
 // over the other's connection and corrupt the remote contents.
 func TestHybridConcurrentPushStreamDemux(t *testing.T) {
 	opts := defaultOpts()
-	opts.mode = ModeHybrid
+	opts.Mode = ModeHybrid
 	tc := newTestCluster(t, 3, opts)
 	ctx := tctx(t)
 
@@ -292,8 +292,8 @@ func TestHybridConcurrentPushStreamDemux(t *testing.T) {
 // surface as a fault log entry and a counter, not a silent goroutine exit.
 func TestAbandonedStreamListenerObserved(t *testing.T) {
 	opts := defaultOpts()
-	opts.mode = ModeHybrid
-	opts.xferTO = 500 * time.Millisecond
+	opts.Mode = ModeHybrid
+	opts.TransferTimeout = 500 * time.Millisecond
 	opts.wrapStack = func(site wire.SiteID, s transport.Stack) transport.Stack {
 		return &brokenDialStack{Stack: s}
 	}

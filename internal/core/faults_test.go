@@ -16,9 +16,9 @@ import (
 // the next thread, and the dead thread is banned.
 func TestLockHolderFailureBreaksLock(t *testing.T) {
 	opts := defaultOpts()
-	opts.lease = 200 * time.Millisecond
-	opts.sweep = 50 * time.Millisecond
-	opts.reqTO = 500 * time.Millisecond
+	opts.DefaultLease = 200 * time.Millisecond
+	opts.LeaseSweep = 50 * time.Millisecond
+	opts.RequestTimeout = 500 * time.Millisecond
 	tc := newTestCluster(t, 3, opts)
 	ctx := tctx(t)
 
@@ -63,7 +63,7 @@ func TestLockHolderFailureBreaksLock(t *testing.T) {
 // are refused.
 func TestBannedThreadNacked(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 500 * time.Millisecond
+	opts.RequestTimeout = 500 * time.Millisecond
 	tc := newTestCluster(t, 2, opts)
 	ctx := tctx(t)
 
@@ -91,7 +91,7 @@ func TestBannedThreadNacked(t *testing.T) {
 // — weakened consistency.
 func TestTransferSourceFailureWithoutDissemination(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 400 * time.Millisecond
+	opts.RequestTimeout = 400 * time.Millisecond
 	tc := newTestCluster(t, 3, opts)
 	ctx := tctx(t)
 
@@ -133,7 +133,7 @@ func TestTransferSourceFailureWithoutDissemination(t *testing.T) {
 // it was pushed to another daemon at release time.
 func TestTransferSourceFailureWithDissemination(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 400 * time.Millisecond
+	opts.RequestTimeout = 400 * time.Millisecond
 	tc := newTestCluster(t, 4, opts)
 	ctx := tctx(t)
 
@@ -177,7 +177,7 @@ func TestTransferSourceFailureWithDissemination(t *testing.T) {
 // the release; the releaser picks another candidate.
 func TestDisseminationTargetFailure(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 400 * time.Millisecond
+	opts.RequestTimeout = 400 * time.Millisecond
 	tc := newTestCluster(t, 4, opts)
 	ctx := tctx(t)
 
@@ -224,7 +224,7 @@ func TestDisseminationTargetFailure(t *testing.T) {
 // daemons, and lock traffic continues against the new manager.
 func TestSurrogateSyncThread(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 400 * time.Millisecond
+	opts.RequestTimeout = 400 * time.Millisecond
 	tc := newTestCluster(t, 3, opts)
 	ctx := tctx(t)
 
@@ -321,7 +321,7 @@ func TestAbandonedGrantAutoReleased(t *testing.T) {
 // must not stall the queue behind it.
 func TestDeadRequesterSkipped(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 300 * time.Millisecond
+	opts.RequestTimeout = 300 * time.Millisecond
 	tc := newTestCluster(t, 3, opts)
 	ctx := tctx(t)
 
@@ -392,7 +392,7 @@ func TestWireSiteSetInGrant(t *testing.T) {
 // (Aborted release) so the system recovers without lease-breaking it.
 func TestAbortDuringTransferWait(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 2 * time.Second
+	opts.RequestTimeout = 2 * time.Second
 	// Slow failure detection (long retransmit schedule) so recovery takes
 	// longer than the acquirer is willing to wait.
 	opts.mnetCfg = mnet.Config{RTO: 400 * time.Millisecond, MaxRetries: 5}

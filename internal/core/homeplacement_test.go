@@ -16,9 +16,9 @@ import (
 // resolve quickly, and a shared metrics registry for counter assertions.
 func placementOpts() clusterOpts {
 	opts := defaultOpts()
-	opts.placement = true
-	opts.lease = 5 * time.Second
-	opts.metrics = obs.NewRegistry()
+	opts.HomePlacement = true
+	opts.DefaultLease = 5 * time.Second
+	opts.Metrics = obs.NewRegistry()
 	return opts
 }
 
@@ -181,7 +181,7 @@ func TestHomeMigratesTowardLocality(t *testing.T) {
 	if !hs.isAdopted(lockID) {
 		t.Fatal("home never migrated to the dominant accessor")
 	}
-	if v := opts.metrics.CounterValue(obs.CHomeMigrations); v < 1 {
+	if v := opts.Metrics.CounterValue(obs.CHomeMigrations); v < 1 {
 		t.Fatalf("CHomeMigrations = %d, want >= 1", v)
 	}
 
@@ -326,7 +326,7 @@ func TestHomesSettleBetweenRegions(t *testing.T) {
 			}
 		}
 	}
-	migrations := func() int64 { return opts.metrics.CounterValue(obs.CHomeMigrations) }
+	migrations := func() int64 { return opts.Metrics.CounterValue(obs.CHomeMigrations) }
 	for r := 0; migrations() < int64(len(locks)); r++ {
 		if r == 40 {
 			t.Fatalf("after %d rounds %d of %d locks have moved", r, migrations(), len(locks))
@@ -342,7 +342,7 @@ func TestHomesSettleBetweenRegions(t *testing.T) {
 	for r := 0; r < migrateMinAcquires; r++ {
 		round()
 	}
-	time.Sleep(3 * opts.sweep)
+	time.Sleep(3 * opts.LeaseSweep)
 	if got := migrations(); got != settled {
 		t.Fatalf("CHomeMigrations went %d -> %d while the clients kept taking turns; homes should stay put", settled, got)
 	}

@@ -3,15 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
-	"mocha/internal/check"
 	"mocha/internal/mnet"
 	"mocha/internal/netsim"
 	"mocha/internal/obs"
 	"mocha/internal/placement"
 	"mocha/internal/store"
+	"mocha/internal/transport"
 	"mocha/internal/wire"
 )
 
@@ -117,10 +118,10 @@ func TestUnlockLeavesHomeAckToCarriage(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := defaultOpts()
-			opts.placement = placement
+			opts.HomePlacement = placement
 			// The RTO must clear the slow link's round trip.
 			opts.mnetCfg = mnet.Config{RTO: 3 * slow, MaxRetries: 4}
-			opts.metrics = obs.NewRegistry()
+			opts.Metrics = obs.NewRegistry()
 			tc := newTestCluster(t, 3, opts)
 			ctx := tctx(t)
 
@@ -190,7 +191,7 @@ func TestUnlockLeavesHomeAckToCarriage(t *testing.T) {
 			assertReleaseBeforeReacquire(t, tc, lockA, hr.ID())
 
 			var waitA, waitB []time.Duration
-			for _, sp := range opts.metrics.Spans() {
+			for _, sp := range opts.Metrics.Spans() {
 				if sp.Op != "acquire" || wire.SiteID(sp.Site) != releaser {
 					continue
 				}
@@ -212,13 +213,13 @@ func TestUnlockLeavesHomeAckToCarriage(t *testing.T) {
 				t.Errorf("queue waits of lock %d = %v, want one near zero: another lock's release must not hold it", lockB, waitB)
 			}
 			// The last two acknowledgments are still on their way back.
-			if !eventually(t, func() bool { return opts.metrics.CounterValue(obs.CReleases) == 3 }) {
-				t.Fatalf("releases = %d, want 3", opts.metrics.CounterValue(obs.CReleases))
+			if !eventually(t, func() bool { return opts.Metrics.CounterValue(obs.CReleases) == 3 }) {
+				t.Fatalf("releases = %d, want 3", opts.Metrics.CounterValue(obs.CReleases))
 			}
-			if ack := opts.metrics.Hist(obs.HReleaseAck); ack.Count != 3 || ack.Sum < 3*2*slow {
+			if ack := opts.Metrics.Hist(obs.HReleaseAck); ack.Count != 3 || ack.Sum < 3*2*slow {
 				t.Errorf("release_ack = %d observations summing to %v, want 3 of a slow round trip (%v) each", ack.Count, ack.Sum, 2*slow)
 			}
-			if got := opts.metrics.CounterValue(obs.CReleaseFailures); got != 0 {
+			if got := opts.Metrics.CounterValue(obs.CReleaseFailures); got != 0 {
 				t.Errorf("release failures = %d, want 0", got)
 			}
 		})
@@ -236,7 +237,7 @@ func TestUnlockLeavesHomeAckToCarriage(t *testing.T) {
 func TestReacquireWaitsOutReleaseLadder(t *testing.T) {
 	const sites = 3
 	opts := placementOpts()
-	opts.reqTO = 400 * time.Millisecond
+	opts.RequestTimeout = 400 * time.Millisecond
 	tc := newTestCluster(t, sites, opts)
 	ctx := tctx(t)
 
@@ -277,7 +278,7 @@ func TestReacquireWaitsOutReleaseLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertReleaseBeforeReacquire(t, tc, lockID, hr.ID())
-	if got := opts.metrics.CounterValue(obs.CReleaseFailures); got != 0 {
+	if got := opts.Metrics.CounterValue(obs.CReleaseFailures); got != 0 {
 		t.Errorf("release failures = %d, want 0: the promoted standby acknowledged", got)
 	}
 }
@@ -291,7 +292,7 @@ func TestUndeliveredReleaseIsCounted(t *testing.T) {
 	t.Run("placement", func(t *testing.T) {
 		const sites = 3
 		opts := placementOpts()
-		opts.reqTO = 300 * time.Millisecond
+		opts.RequestTimeout = 300 * time.Millisecond
 		tc := newTestCluster(t, sites, opts)
 		ctx := tctx(t)
 
@@ -311,23 +312,23 @@ func TestUndeliveredReleaseIsCounted(t *testing.T) {
 		if err := rl.Unlock(ctx); err != nil {
 			t.Fatalf("unlock = %v, want nil: the release is the carriage's", err)
 		}
-		if got := opts.metrics.CounterValue(obs.CReleaseFailures); got != 0 {
+		if got := opts.Metrics.CounterValue(obs.CReleaseFailures); got != 0 {
 			t.Fatalf("release failures = %d with the ladder still climbing", got)
 		}
 		if err := rl.Lock(ctx); !errors.Is(err, ErrNoSync) {
 			t.Fatalf("re-acquire with every manager dead = %v, want ErrNoSync", err)
 		}
-		if got := opts.metrics.CounterValue(obs.CReleaseFailures); got != 1 {
+		if got := opts.Metrics.CounterValue(obs.CReleaseFailures); got != 1 {
 			t.Fatalf("release failures = %d after the gate reopened, want 1", got)
 		}
-		if got := opts.metrics.CounterValue(obs.CReleases); got != 0 {
+		if got := opts.Metrics.CounterValue(obs.CReleases); got != 0 {
 			t.Fatalf("releases = %d, want 0", got)
 		}
 	})
 	t.Run("fixed-home", func(t *testing.T) {
 		opts := defaultOpts()
-		opts.reqTO = 300 * time.Millisecond
-		opts.metrics = obs.NewRegistry()
+		opts.RequestTimeout = 300 * time.Millisecond
+		opts.Metrics = obs.NewRegistry()
 		tc := newTestCluster(t, 2, opts)
 		ctx := tctx(t)
 
@@ -349,7 +350,7 @@ func TestUndeliveredReleaseIsCounted(t *testing.T) {
 		if err := rl.Unlock(ctx); !errors.Is(err, ErrNoSync) {
 			t.Fatalf("unlock with the home dead = %v, want ErrNoSync", err)
 		}
-		if got := opts.metrics.CounterValue(obs.CReleaseFailures); got != 1 {
+		if got := opts.Metrics.CounterValue(obs.CReleaseFailures); got != 1 {
 			t.Fatalf("release failures = %d, want 1", got)
 		}
 		// Nothing re-homes a lock of the fixed home: the whole namespace is
@@ -374,11 +375,11 @@ func TestReleaseBeforePromotionIsCounted(t *testing.T) {
 	const sites = 4
 	const lockID = wire.LockID(30)
 	opts := placementOpts()
-	opts.lease = 300 * time.Millisecond
+	opts.DefaultLease = 300 * time.Millisecond
 	// The carriage gives up on the dead home after five 25 ms sends; three
 	// missed standby probes at this cadence take over a second.
-	opts.sweep = 400 * time.Millisecond
-	opts.reqTO = 300 * time.Millisecond
+	opts.LeaseSweep = 400 * time.Millisecond
+	opts.RequestTimeout = 300 * time.Millisecond
 	tc := newTestCluster(t, sites, opts)
 	ctx := tctx(t)
 
@@ -400,11 +401,11 @@ func TestReleaseBeforePromotionIsCounted(t *testing.T) {
 	if err := rlW.Unlock(ctx); err != nil {
 		t.Fatalf("unlock = %v, want nil: the release is the carriage's", err)
 	}
-	failures := func() int64 { return opts.metrics.CounterValue(obs.CReleaseFailures) }
+	failures := func() int64 { return opts.Metrics.CounterValue(obs.CReleaseFailures) }
 	if !eventually(t, func() bool { return failures() == 1 }) {
 		t.Fatalf("release failures = %d, want the lost release counted once", failures())
 	}
-	if got := opts.metrics.CounterValue(obs.CStandbyPromotions); got != 0 {
+	if got := opts.Metrics.CounterValue(obs.CStandbyPromotions); got != 0 {
 		t.Fatalf("standby promoted %d times before the carriage gave up: the window under test is gone", got)
 	}
 
@@ -419,21 +420,16 @@ func TestReleaseBeforePromotionIsCounted(t *testing.T) {
 	if err := rlR.Unlock(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := opts.metrics.CounterValue(obs.CLeaseBreaks); got != 1 {
+	if got := opts.Metrics.CounterValue(obs.CLeaseBreaks); got != 1 {
 		t.Errorf("lease breaks = %d, want 1", got)
 	}
 	if got := failures(); got != 1 {
 		t.Errorf("release failures = %d, want 1", got)
 	}
-	mon := check.NewMonitor(0)
 	for _, ev := range tc.rec.Events() {
-		mon.Record(ev)
 		if ev.Kind == wire.HistRelease && ev.Site == releaser {
 			t.Errorf("the lost release reached a manager: %v", ev)
 		}
-	}
-	if cx := mon.Err(); cx != nil {
-		t.Errorf("monitor: %v", cx)
 	}
 }
 
@@ -483,7 +479,7 @@ func TestCloseWaitsOutReleaseCarriage(t *testing.T) {
 	<-closed
 
 	tally := func() int64 {
-		return opts.metrics.CounterValue(obs.CReleases) + opts.metrics.CounterValue(obs.CReleaseFailures)
+		return opts.Metrics.CounterValue(obs.CReleases) + opts.Metrics.CounterValue(obs.CReleaseFailures)
 	}
 	if got := tally(); got != 1 {
 		t.Fatalf("releases + release failures = %d after Close, want 1", got)
@@ -494,7 +490,7 @@ func TestCloseWaitsOutReleaseCarriage(t *testing.T) {
 	}
 	// A release handed over after Close fails at once and is counted.
 	<-tc.node(releaser).client.carryRelease(&wire.ReleaseLock{Lock: lockID, Releaser: releaser}, nil, nil)
-	if got := opts.metrics.CounterValue(obs.CReleaseFailures); got < 1 {
+	if got := opts.Metrics.CounterValue(obs.CReleaseFailures); got < 1 {
 		t.Fatalf("release failures = %d after a post-Close release, want it counted", got)
 	}
 }
@@ -515,7 +511,7 @@ func TestForwardedReleaseRidesCarriage(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const sites = 4
 			opts := placementOpts()
-			opts.reqTO = 300 * time.Millisecond
+			opts.RequestTimeout = 300 * time.Millisecond
 			tc := newTestCluster(t, sites, opts)
 			ctx := tctx(t)
 
@@ -548,7 +544,7 @@ func TestForwardedReleaseRidesCarriage(t *testing.T) {
 			if err := rl.Unlock(ctx); err != nil {
 				t.Fatal(err)
 			}
-			failures := func() int64 { return opts.metrics.CounterValue(obs.CReleaseFailures) }
+			failures := func() int64 { return opts.Metrics.CounterValue(obs.CReleaseFailures) }
 			if !homeAlive {
 				if !eventually(t, func() bool { return failures() == 1 }) {
 					t.Fatalf("release failures = %d, want the lost forward counted once", failures())
@@ -585,9 +581,9 @@ func TestDropReleaseRecoversPushedVersion(t *testing.T) {
 	const sites = 3
 	const lockID = wire.LockID(30)
 	opts := placementOpts()
-	opts.lease = 200 * time.Millisecond
-	opts.sweep = 50 * time.Millisecond
-	opts.reqTO = 400 * time.Millisecond
+	opts.DefaultLease = 200 * time.Millisecond
+	opts.LeaseSweep = 50 * time.Millisecond
+	opts.RequestTimeout = 400 * time.Millisecond
 
 	// The hooks and store directory are per site and fixed before the
 	// cluster exists, so ask the ring NewNode will build.
@@ -644,9 +640,7 @@ func TestDropReleaseRecoversPushedVersion(t *testing.T) {
 	}
 
 	var broke, recovered bool
-	mon := check.NewMonitor(0)
 	for _, ev := range tc.rec.Events() {
-		mon.Record(ev)
 		if ev.Lock != lockID {
 			continue
 		}
@@ -664,10 +658,7 @@ func TestDropReleaseRecoversPushedVersion(t *testing.T) {
 	if !broke || !recovered {
 		t.Errorf("lease broken = %v, poll recovered v3 at a sharer = %v; want both", broke, recovered)
 	}
-	if cx := mon.Err(); cx != nil {
-		t.Errorf("monitor: %v", cx)
-	}
-	if got := opts.metrics.CounterValue(obs.CReleaseFailures); got != 1 {
+	if got := opts.Metrics.CounterValue(obs.CReleaseFailures); got != 1 {
 		t.Errorf("release failures = %d, want 1", got)
 	}
 
@@ -702,9 +693,9 @@ func TestLostReleaseVersionNotReused(t *testing.T) {
 	const sites = 4
 	const sharer = wire.SiteID(1) // lowest ID: a UR=2 push goes here first
 	opts := placementOpts()
-	opts.lease = 200 * time.Millisecond
-	opts.sweep = 50 * time.Millisecond
-	opts.reqTO = 400 * time.Millisecond
+	opts.DefaultLease = 200 * time.Millisecond
+	opts.LeaseSweep = 50 * time.Millisecond
+	opts.RequestTimeout = 400 * time.Millisecond
 
 	ring := ringOf(sites)
 	lockID := wire.LockID(30)
@@ -774,5 +765,88 @@ func TestLostReleaseVersionNotReused(t *testing.T) {
 	}
 	if err := rlS.Unlock(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// swallowStandbyRelease drops the StandbyUpdates streaming lock's record at
+// version with no holder (a release's stream-first push), closing seen at
+// the first.
+type swallowStandbyRelease struct {
+	transport.Datagram
+	lock    wire.LockID
+	version uint64
+	seen    chan struct{}
+	once    sync.Once
+}
+
+func (d *swallowStandbyRelease) Send(to string, pkt []byte) error {
+	for off := 0; off < len(pkt) && off < 64; off++ { // skip mnet's header
+		p, err := wire.Unmarshal(pkt[off:])
+		if upd, ok := p.(*wire.StandbyUpdate); err == nil && ok && upd.Record.Lock == d.lock &&
+			upd.Record.Version == d.version && !upd.Record.HasHolder {
+			d.once.Do(func() { close(d.seen) })
+			return nil
+		}
+	}
+	return d.Datagram.Send(to, pkt)
+}
+
+// TestClosingHomeDoesNotRecordUnstreamedRelease closes a placement home
+// while a release's stream-first push to its standby is in flight. The
+// standby then promotes the releaser's hold at v1, so a v2 the home
+// recorded would be a committed version regressed. The home must drop the
+// release instead; the releaser's site dies, its lease breaks, and the
+// next acquire recovers the pushed v2 from a sharer.
+func TestClosingHomeDoesNotRecordUnstreamedRelease(t *testing.T) {
+	const sites = 3
+	const lockID = wire.LockID(30)
+	opts := placementOpts()
+	opts.DefaultLease = 300 * time.Millisecond
+	opts.RequestTimeout = 300 * time.Millisecond
+
+	home := ringOf(sites).Home(lockID)
+	swallow := &swallowStandbyRelease{lock: lockID, version: 2, seen: make(chan struct{})}
+	opts.wrapDatagram = func(site wire.SiteID, d transport.Datagram) transport.Datagram {
+		if site != home {
+			return d
+		}
+		swallow.Datagram = d
+		return swallow
+	}
+	tc := newTestCluster(t, sites, opts)
+	ctx := tctx(t)
+
+	standby := tc.standbyOf(home)
+	releaser := otherSite(t, sites, home, standby)
+	rlR, rR := mustCreate(t, tc.node(standby).NewHandle("reader"), lockID, "gap", []int32{1}, sites)
+	rlW, rW := mustAttach(t, tc.node(releaser).NewHandle("writer"), lockID, "gap")
+	settle()
+
+	rlW.SetUpdateReplicas(2) // v2 is pushed to the reader's site
+	writeVersion(t, rlW, rW, 2)
+	select {
+	case <-swallow.seen:
+	case <-ctx.Done():
+		t.Fatal("the home never streamed the release to its standby")
+	}
+	tc.kill(home)
+	settle() // the failed push's goroutine finishes
+	tc.node(standby).PromoteStandby(home)
+	tc.kill(releaser)
+
+	if err := rlR.Lock(ctx); err != nil {
+		t.Fatalf("acquire behind the lost release: %v", err)
+	}
+	if got := rR.Content().IntsData()[0]; got != 2 || rlR.Version() != 2 {
+		t.Fatalf("reader holds %d at v%d, want the pushed 2 at v2", got, rlR.Version())
+	}
+	if err := rlR.Unlock(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, ev := range tc.rec.Events() {
+		if ev.Kind == wire.HistRelease && ev.Site == releaser && ev.Version == 2 {
+			t.Errorf("the closing home recorded a release its standby never got: %v", ev)
+		}
 	}
 }

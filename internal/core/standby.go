@@ -112,22 +112,33 @@ func (hs *homeState) standby() wire.SiteID {
 // ring of one has none: the paper's fixed home streams nothing.
 func (hs *homeState) hasStandby() bool { return hs.ring.Len() > 1 }
 
-// standbyActionLocked snapshots the record for the standby; the caller
-// holds l.mu. The returned action performs the send and must run outside
-// every record mutex; it is nil when there is nothing to stream (no
-// standby, or a tombstone), so callers skip it rather than spawn a no-op.
-func (hs *homeState) standbyActionLocked(l *syncLock) func() {
+// standbyPushLocked snapshots the record for the standby; the caller
+// holds l.mu. The returned push performs the send, reports whether the
+// standby acknowledged it, and must run outside every record mutex; it is
+// nil when there is nothing to stream (no standby, or a tombstone), so
+// callers skip it rather than spawn a no-op.
+func (hs *homeState) standbyPushLocked(l *syncLock) func() bool {
 	if !hs.hasStandby() || l.moved != nil {
 		return nil
 	}
 	l.standbySeq++
 	upd := &wire.StandbyUpdate{From: hs.self, Epoch: l.homeEpoch, Seq: l.standbySeq, Record: snapshotRecordLocked(l, time.Now())}
 	data := wire.Marshal(upd)
-	return func() {
-		if hs.sendToManager(hs.standby(), data) {
-			hs.s.node.obs().Inc(obs.CStandbyUpdates)
+	return func() bool {
+		if !hs.sendToManager(hs.standby(), data) {
+			return false
 		}
+		hs.s.node.obs().Inc(obs.CStandbyUpdates)
+		return true
 	}
+}
+
+// standbyActionLocked is standbyPushLocked as a syncThread.run action.
+func (hs *homeState) standbyActionLocked(l *syncLock) func() {
+	if push := hs.standbyPushLocked(l); push != nil {
+		return func() { push() }
+	}
+	return nil
 }
 
 // streamHoldSync streams the record to the standby synchronously. Called

@@ -29,7 +29,7 @@ func assertSyncInvariants(t *testing.T, tc *testCluster) {
 // to RequestTimeout.
 func TestDeadPeerDoesNotStallUnrelatedLock(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 1 * time.Second
+	opts.RequestTimeout = 1 * time.Second
 	// Patient retransmission: sends to the dead site fail only at the
 	// RequestTimeout deadline, reproducing the worst-case stall the old
 	// inline-I/O dispatcher imposed on every lock.
@@ -95,7 +95,7 @@ func TestDeadPeerDoesNotStallUnrelatedLock(t *testing.T) {
 	// Grant latency on the unrelated lock during the stall window.
 	for i := 0; i < 3; i++ {
 		lat := cycleB()
-		if lat > opts.reqTO/2 {
+		if lat > opts.RequestTimeout/2 {
 			t.Fatalf("unrelated lock grant took %v during recovery of lock 40 (healthy baseline %v): head-of-line blocking",
 				lat, baseline)
 		}
@@ -111,7 +111,7 @@ func TestDeadPeerDoesNotStallUnrelatedLock(t *testing.T) {
 // registered is refused with ErrUnknownLock and fabricates no record.
 func TestUnknownLockNacked(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 500 * time.Millisecond
+	opts.RequestTimeout = 500 * time.Millisecond
 	tc := newTestCluster(t, 2, opts)
 	ctx := tctx(t)
 

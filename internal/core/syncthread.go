@@ -513,12 +513,16 @@ func (s *syncThread) onRelease(msg *wire.ReleaseLock) {
 		// restore a stale version floor (re-issuing a committed number)
 		// and accept the client's retried release a second time. Frozen
 		// blocks grants (and migration) until the record lands; the send
-		// happens off the dispatcher, outside every mutex.
+		// happens off the dispatcher, outside every mutex. If the push
+		// failed because this home is closing, the standby will promote
+		// without the release: it is lost, left to the lease, unrecorded.
 		l.frozen = true
-		push := hs.standbyActionLocked(l)
+		push := hs.standbyPushLocked(l)
 		l.mu.Unlock()
 		go func() {
-			push()
+			if !push() && s.node.isClosed() {
+				return
+			}
 			l.mu.Lock()
 			s.node.recordHist(relEv)
 			s.recordDeferredLocked(l)

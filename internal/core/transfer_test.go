@@ -36,8 +36,8 @@ func transferCycle(t *testing.T, rlA, rlB *ReplicaLock, rA, rB *Replica, value i
 func TestStreamReuseCachesConnections(t *testing.T) {
 	run := func(reuse bool) (int64, int64) {
 		opts := defaultOpts()
-		opts.mode = ModeHybrid
-		opts.reuse = reuse
+		opts.Mode = ModeHybrid
+		opts.StreamReuse = reuse
 		tc := newTestCluster(t, 2, opts)
 
 		h1 := tc.node(1).NewHandle("a")
@@ -77,8 +77,8 @@ func (b *brokenDialStack) DialStream(string) (transport.Conn, error) {
 
 func TestHybridFallsBackToMNet(t *testing.T) {
 	opts := defaultOpts()
-	opts.mode = ModeHybrid
-	opts.xferTO = 2 * time.Second
+	opts.Mode = ModeHybrid
+	opts.TransferTimeout = 2 * time.Second
 	opts.wrapStack = func(site wire.SiteID, s transport.Stack) transport.Stack {
 		return &brokenDialStack{Stack: s}
 	}
@@ -137,7 +137,7 @@ func TestHybridFallsBackToMNet(t *testing.T) {
 
 func TestAdaptiveThresholdRouting(t *testing.T) {
 	opts := defaultOpts()
-	opts.mode = ModeAdaptive
+	opts.Mode = ModeAdaptive
 	tc := newTestCluster(t, 2, opts)
 	ctx := tctx(t)
 

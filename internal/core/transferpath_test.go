@@ -78,7 +78,7 @@ func TestTransferOvertakesGrantOnSlowHomeLink(t *testing.T) {
 	opts := defaultOpts()
 	// The RTO must clear the slow link's round trip.
 	opts.mnetCfg = mnet.Config{RTO: 3 * slow, MaxRetries: 4}
-	opts.metrics = obs.NewRegistry()
+	opts.Metrics = obs.NewRegistry()
 	tc := newTestCluster(t, 3, opts)
 	ctx := tctx(t)
 
@@ -102,12 +102,12 @@ func TestTransferOvertakesGrantOnSlowHomeLink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if rtt := phaseOf(t, opts.metrics, 3, 6, obs.HRequestRTT); rtt < 2*slow {
+	if rtt := phaseOf(t, opts.Metrics, 3, 6, obs.HRequestRTT); rtt < 2*slow {
 		t.Fatalf("request round trip %v is under two slow hops (%v): the link delay did not apply", rtt, 2*slow)
 	}
 	// The phase runs from the GRANT's arrival to the version being there:
 	// a slow hop or more if the directive waited for the grant's ack.
-	if wait := phaseOf(t, opts.metrics, 3, 6, obs.HTransferWait); wait > slow/2 {
+	if wait := phaseOf(t, opts.Metrics, 3, 6, obs.HTransferWait); wait > slow/2 {
 		t.Fatalf("transfer wait %v after the GRANT, want ~0 (the data was already there)", wait)
 	}
 	// Same fact from the history: the apply is recorded before the thread
@@ -128,8 +128,8 @@ func TestUndeliverableGrantDiscardsDirective(t *testing.T) {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
 			opts := defaultOpts()
-			opts.reqTO = 400 * time.Millisecond
-			opts.metrics = obs.NewRegistry()
+			opts.RequestTimeout = 400 * time.Millisecond
+			opts.Metrics = obs.NewRegistry()
 			var armed atomic.Bool
 			if mode == "fault" {
 				opts.faultHooks = map[wire.SiteID]FaultHook{
@@ -209,22 +209,22 @@ func TestUndeliverableGrantDiscardsDirective(t *testing.T) {
 			if !eventually(t, func() bool { return len(transfersToward(tc, 3)) == 1 }) {
 				t.Errorf("%d transfers sent toward site 3, want 1", len(transfersToward(tc, 3)))
 			}
-			if polls := opts.metrics.CounterValue(obs.CDaemonPolls); polls != 0 {
+			if polls := opts.Metrics.CounterValue(obs.CDaemonPolls); polls != 0 {
 				t.Errorf("%d daemon polls: an undeliverable grant must not start transfer recovery", polls)
 			}
 			if mode == "dead-site" {
 				// The source's carriage toward the dead site fails off the
 				// dispatcher and is visible in the plane.
-				if !eventually(t, func() bool { return opts.metrics.CounterValue(obs.CTransferFailures) == 1 }) {
-					t.Errorf("transfer failures = %d, want 1", opts.metrics.CounterValue(obs.CTransferFailures))
+				if !eventually(t, func() bool { return opts.Metrics.CounterValue(obs.CTransferFailures) == 1 }) {
+					t.Errorf("transfer failures = %d, want 1", opts.Metrics.CounterValue(obs.CTransferFailures))
 				}
 			}
-			deadline := time.Now().Add(opts.reqTO)
+			deadline := time.Now().Add(opts.RequestTimeout)
 			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 				time.Sleep(5 * time.Millisecond)
 			}
 			if n := runtime.NumGoroutine(); n > baseline {
-				t.Errorf("%d goroutines %v after the abandoned grant, baseline %d", n, opts.reqTO, baseline)
+				t.Errorf("%d goroutines %v after the abandoned grant, baseline %d", n, opts.RequestTimeout, baseline)
 			}
 			assertSyncInvariants(t, tc)
 		})
@@ -240,9 +240,9 @@ func TestUndeliverableGrantDiscardsDirective(t *testing.T) {
 // second, and ends on the best surviving version.
 func TestRevisedGrantFollowsOriginal(t *testing.T) {
 	opts := defaultOpts()
-	opts.reqTO = 400 * time.Millisecond
-	opts.metrics = obs.NewRegistry()
-	opts.mnetCfg.Metrics = opts.metrics
+	opts.RequestTimeout = 400 * time.Millisecond
+	opts.Metrics = obs.NewRegistry()
+	opts.mnetCfg.Metrics = opts.Metrics
 	releaseGrant := make(chan struct{})
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(releaseGrant) }) }
@@ -271,16 +271,16 @@ func TestRevisedGrantFollowsOriginal(t *testing.T) {
 	c3 := tc.node(3).client
 	grants := c3.expectGrant(6, h3.ID())
 	defer c3.dropGrant(6, h3.ID())
-	failuresBefore := opts.metrics.CounterValue(obs.CSendFailures)
+	failuresBefore := opts.Metrics.CounterValue(obs.CSendFailures)
 	if err := c3.sendToHome(ctx, &wire.AcquireLock{Lock: 6, Requester: 3, Thread: h3.ID()}, 6); err != nil {
 		t.Fatal(err)
 	}
 	// The directive toward the dead source exhausts its retries while the
 	// grant is still held back.
-	if !eventually(t, func() bool { return opts.metrics.CounterValue(obs.CSendFailures) > failuresBefore }) {
+	if !eventually(t, func() bool { return opts.Metrics.CounterValue(obs.CSendFailures) > failuresBefore }) {
 		t.Fatal("the directive to the dead source never failed")
 	}
-	if polls := opts.metrics.CounterValue(obs.CDaemonPolls); polls != 0 {
+	if polls := opts.Metrics.CounterValue(obs.CDaemonPolls); polls != 0 {
 		t.Fatalf("%d daemon polls before the original grant was delivered", polls)
 	}
 	select {
@@ -333,14 +333,14 @@ func TestDeadTransferDestDoesNotStallDaemon(t *testing.T) {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			opts := defaultOpts()
-			opts.mode = mode
-			opts.reuse = true
-			opts.reqTO = 1 * time.Second
-			opts.xferTO = 2 * time.Second
+			opts.Mode = mode
+			opts.StreamReuse = true
+			opts.RequestTimeout = 1 * time.Second
+			opts.TransferTimeout = 2 * time.Second
 			// Patient retransmission: the send to the dead site stays in
 			// flight until the transfer timeout.
 			opts.mnetCfg = mnet.Config{RTO: 2 * time.Second, MaxRetries: 5}
-			opts.metrics = obs.NewRegistry()
+			opts.Metrics = obs.NewRegistry()
 			tc := newTestCluster(t, 3, opts)
 			ctx := tctx(t)
 
@@ -401,7 +401,7 @@ func TestDeadTransferDestDoesNotStallDaemon(t *testing.T) {
 			if !found || best.Site != 2 || best.Version != 2 {
 				t.Fatalf("poll best = %+v (found %v), want site 2 at v2", best, found)
 			}
-			if got := opts.metrics.CounterValue(obs.CTransferFailures); got != 0 {
+			if got := opts.Metrics.CounterValue(obs.CTransferFailures); got != 0 {
 				t.Fatalf("transfer failures = %d with the carriage still in flight", got)
 			}
 
@@ -414,7 +414,7 @@ func TestDeadTransferDestDoesNotStallDaemon(t *testing.T) {
 			if lat := time.Since(start); lat > limit {
 				t.Fatalf("closing site 2 took %v: carriage was not cancelled", lat)
 			}
-			if got := opts.metrics.CounterValue(obs.CTransferFailures); got != 1 {
+			if got := opts.Metrics.CounterValue(obs.CTransferFailures); got != 1 {
 				t.Fatalf("transfer failures = %d after close, want 1", got)
 			}
 			if got := tc.node(2).FullTransfersSent(); got != full {

@@ -19,9 +19,9 @@ import (
 
 const treeDeltaLock wire.LockID = 9
 
-// treeDeltaRig is a 7-site delta+tree cluster with a 4 KiB replica: the
-// home (site 1) writes, sites 2-4 and 5-7 are the two locality buckets
-// (relays 2 and 5).
+// treeDeltaRig is a treeCluster with delta on and a 4 KiB replica: the
+// home (site 1) writes, sites 2-5 and 6-9 are the two locality buckets
+// (relays 2 and 6).
 type treeDeltaRig struct {
 	t        *testing.T
 	tc       *testCluster
@@ -37,17 +37,17 @@ type treeDeltaRig struct {
 // site up to date — the state the delta-form rounds start from.
 func newTreeDeltaRig(t *testing.T, opts clusterOpts) *treeDeltaRig {
 	t.Helper()
-	opts.delta = true
-	opts.metrics = obs.NewRegistry()
-	tc := treeCluster(t, 7, opts, []wire.SiteID{2, 3, 4}, []wire.SiteID{5, 6, 7})
-	rig := &treeDeltaRig{t: t, tc: tc, reg: opts.metrics, contents: map[wire.SiteID]*Replica{}}
-	rig.rl, rig.r = mustCreate(t, tc.node(1).NewHandle("w"), treeDeltaLock, "v", make([]int32, 1024), 7)
-	for i := wire.SiteID(2); i <= 7; i++ {
+	opts.DeltaTransfer = true
+	opts.Metrics = obs.NewRegistry()
+	tc := treeCluster(t, opts)
+	rig := &treeDeltaRig{t: t, tc: tc, reg: opts.Metrics, contents: map[wire.SiteID]*Replica{}}
+	rig.rl, rig.r = mustCreate(t, tc.node(1).NewHandle("w"), treeDeltaLock, "v", make([]int32, 1024), treeSites)
+	for i := wire.SiteID(2); i <= treeSites; i++ {
 		_, r := mustAttach(t, tc.node(i).NewHandle("r"), treeDeltaLock, "v")
 		rig.contents[i] = r
 	}
 	settle()
-	rig.rl.SetUpdateReplicas(7)
+	rig.rl.SetUpdateReplicas(treeSites)
 	rig.release()
 	if got := rig.sum((*Node).DeltaTransfersSent); got != 0 {
 		t.Fatalf("seeding release sent %d deltas to sites with no base", got)
@@ -71,10 +71,10 @@ func (rig *treeDeltaRig) release() {
 	}
 }
 
-// sum adds one per-node transfer counter over all seven sites.
+// sum adds one per-node transfer counter over every site.
 func (rig *treeDeltaRig) sum(counter func(*Node) int64) int64 {
 	var n int64
-	for i := wire.SiteID(1); i <= 7; i++ {
+	for i := wire.SiteID(1); i <= treeSites; i++ {
 		n += counter(rig.tc.node(i))
 	}
 	return n
@@ -85,7 +85,7 @@ func (rig *treeDeltaRig) sum(counter func(*Node) int64) int64 {
 func (rig *treeDeltaRig) wantConverged() {
 	rig.t.Helper()
 	want := rig.r.Content().IntsData()
-	for i := wire.SiteID(2); i <= 7; i++ {
+	for i := wire.SiteID(2); i <= treeSites; i++ {
 		st := rig.tc.node(i).getLockLocal(treeDeltaLock)
 		st.mu.Lock()
 		version := st.version
@@ -132,14 +132,14 @@ func TestTreeDeltaAllUpToDate(t *testing.T) {
 	if got := rig.sum((*Node).FullTransfersSent) - full; got != 0 {
 		t.Errorf("%d full copies sent with every sharer up to date, want 0", got)
 	}
-	// Per release: two delta-form RelayPushes from the origin, two delta
+	// Per release: two delta-form RelayPushes from the origin, three delta
 	// re-fans from each relay — the relay-carried frames are counted too.
 	if got := rig.tc.node(1).DeltaTransfersSent(); got != 6 {
 		t.Errorf("origin sent %d delta frames over 3 releases, want 6", got)
 	}
-	for _, relay := range []wire.SiteID{2, 5} {
-		if got := rig.tc.node(relay).DeltaTransfersSent(); got != 6 {
-			t.Errorf("relay %d re-fanned %d delta frames over 3 releases, want 6", relay, got)
+	for _, relay := range []wire.SiteID{2, 6} {
+		if got := rig.tc.node(relay).DeltaTransfersSent(); got != 9 {
+			t.Errorf("relay %d re-fanned %d delta frames over 3 releases, want 9", relay, got)
 		}
 	}
 	if got := rig.sum((*Node).DeltaFallbacks); got != 0 {
@@ -151,7 +151,7 @@ func TestTreeDeltaAllUpToDate(t *testing.T) {
 	if got := rig.reg.CounterValue(obs.CRelayFallbacks); got != 0 {
 		t.Errorf("relay fallbacks = %d, want 0", got)
 	}
-	// 18 frames patching one int32 each: far below a single 4 KiB copy.
+	// 24 frames patching one int32 each: far below a single 4 KiB copy.
 	if got := rig.sum((*Node).ReplicaBytesSent) - bytes; got > 4096 {
 		t.Errorf("3 releases put %d replica bytes on the wire, want under one full copy", got)
 	}
@@ -160,7 +160,7 @@ func TestTreeDeltaAllUpToDate(t *testing.T) {
 // TestTreeDeltaMemberBehind leaves one bucket member a version behind (the
 // pushes of one release to it are dropped at the relay and at the origin's
 // repair), so the next grant does not list it as up to date: the relay
-// offers the delta to the other member and serves the straggler the full
+// offers the delta to the other members and serves the straggler the full
 // copy from its own post-apply cache — the RelayPush carried none.
 func TestTreeDeltaMemberBehind(t *testing.T) {
 	var dropVersion atomic.Uint64
@@ -180,8 +180,8 @@ func TestTreeDeltaMemberBehind(t *testing.T) {
 	if got := rig.tc.node(2).FullTransfersSent() - relayFull; got != 1 {
 		t.Errorf("relay 2 sent %d full copies, want 1 (to the member a version behind)", got)
 	}
-	if got := rig.tc.node(2).DeltaTransfersSent() - relayDelta; got != 1 {
-		t.Errorf("relay 2 sent %d delta frames, want 1 (to the member that kept up)", got)
+	if got := rig.tc.node(2).DeltaTransfersSent() - relayDelta; got != 2 {
+		t.Errorf("relay 2 sent %d delta frames, want 2 (to the members that kept up)", got)
 	}
 	if got := rig.sum((*Node).FullTransfersSent) - full; got != 1 {
 		t.Errorf("%d full copies sent cluster-wide, want only the straggler's", got)
@@ -226,8 +226,8 @@ func (rig *treeDeltaRig) wantRelayFullFallback(fullBefore int64) {
 	if got := rig.tc.node(1).DeltaTransfersSent(); got != 1 {
 		rig.t.Errorf("origin sent %d delta RelayPushes, want 1 (the healthy bucket)", got)
 	}
-	if got := rig.tc.node(5).DeltaTransfersSent(); got != 2 {
-		rig.t.Errorf("relay 5 re-fanned %d deltas, want 2", got)
+	if got := rig.tc.node(6).DeltaTransfersSent(); got != 3 {
+		rig.t.Errorf("relay 6 re-fanned %d deltas, want 3", got)
 	}
 	if got := rig.reg.CounterValue(obs.CRelayFallbacks); got != 0 {
 		rig.t.Errorf("relay fallbacks = %d, want 0 (need-full is not a relay failure)", got)
@@ -302,7 +302,7 @@ func TestTreeDeltaCorruptedInFlight(t *testing.T) {
 func TestTreeDeltaDropRelayFan(t *testing.T) {
 	var armed atomic.Bool
 	opts := defaultOpts()
-	opts.reqTO = 500 * time.Millisecond // one fast relay-ack timeout
+	opts.RequestTimeout = 500 * time.Millisecond // one fast relay-ack timeout
 	opts.faultHooks = map[wire.SiteID]FaultHook{
 		2: func(fc FaultContext) FaultDecision {
 			return FaultDecision{Drop: fc.Point == FPDropRelayFan && armed.Load()}
@@ -316,10 +316,10 @@ func TestTreeDeltaDropRelayFan(t *testing.T) {
 	if got := rig.reg.CounterValue(obs.CRelayFallbacks); got != 1 {
 		t.Errorf("relay fallbacks = %d, want 1", got)
 	}
-	// One delta RelayPush to the healthy relay, three direct delta pushes
+	// One delta RelayPush to the healthy relay, four direct delta pushes
 	// to the dead relay's bucket.
-	if got := rig.tc.node(1).DeltaTransfersSent(); got != 4 {
-		t.Errorf("origin sent %d delta frames, want 4", got)
+	if got := rig.tc.node(1).DeltaTransfersSent(); got != 5 {
+		t.Errorf("origin sent %d delta frames, want 5", got)
 	}
 	if got := rig.sum((*Node).FullTransfersSent) - full; got != 0 {
 		t.Errorf("%d full copies sent while routing around the relay, want 0", got)

@@ -41,9 +41,8 @@ const (
 
 func newRegionRig(t *testing.T, opts clusterOpts) *regionRig {
 	t.Helper()
-	opts.delta = true
-	opts.tree = true
-	opts.treeMin = 2
+	opts.DeltaTransfer = true
+	opts.DisseminationTree = true
 	// Backbone round trips are 24 ms: keep mnet from retransmitting into them.
 	opts.mnetCfg = mnet.Config{RTO: 200 * time.Millisecond, MaxRetries: 4}
 	tc := newTestCluster(t, regionSites, opts)
@@ -174,7 +173,7 @@ func TestTreeSplitConvergesAfterDroppedRelayFan(t *testing.T) {
 		return FaultDecision{Drop: fc.Point == FPDropRelayFan && armed.Load()}
 	}
 	opts := defaultOpts()
-	opts.reqTO = 500 * time.Millisecond // one fast relay-ack timeout
+	opts.RequestTimeout = 500 * time.Millisecond // one fast relay-ack timeout
 	opts.faultHooks = map[wire.SiteID]FaultHook{}
 	for i := wire.SiteID(1); i <= regionSites; i++ {
 		opts.faultHooks[i] = drop

@@ -18,9 +18,9 @@ import (
 // holder the last committed version.
 func TestCrashedHoldMarksContentUncommitted(t *testing.T) {
 	opts := defaultOpts()
-	opts.lease = 200 * time.Millisecond
-	opts.sweep = 50 * time.Millisecond
-	opts.reqTO = 500 * time.Millisecond
+	opts.DefaultLease = 200 * time.Millisecond
+	opts.LeaseSweep = 50 * time.Millisecond
+	opts.RequestTimeout = 500 * time.Millisecond
 	opts.faultHooks = map[wire.SiteID]FaultHook{
 		2: func(fc FaultContext) FaultDecision {
 			if fc.Point == FPCrashAfterReleaseBeforePush {
@@ -151,5 +151,28 @@ func TestGrantCarriesCommittedVersionFloor(t *testing.T) {
 			t.Fatalf("high-water after site 2's commit = %d, want 4", hw)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestNonCreatorOnlyLockGrantsEmptyV0 pins a known gap (DESIGN.md §4,
+// Failure model): a lock whose only registration is a non-creator's has no
+// committed version anywhere, yet an acquire of it is granted VERSIONOK at
+// v0 and the holder reads empty content rather than an error. Refusing the
+// grant instead is an open decision; until it is made, this test fails if
+// the behaviour changes unnoticed.
+func TestNonCreatorOnlyLockGrantsEmptyV0(t *testing.T) {
+	tc := newTestCluster(t, 2, defaultOpts())
+	ctx := tctx(t)
+
+	rl, r := mustAttach(t, tc.node(2).NewHandle("attacher"), 41, "nobody-created")
+	settle()
+	if err := rl.Lock(ctx); err != nil {
+		t.Fatalf("lock = %v, want the v0 grant", err)
+	}
+	if got := len(r.Content().IntsData()); got != 0 || rl.Version() != 0 {
+		t.Errorf("holder reads %d ints at v%d, want 0 at v0", got, rl.Version())
+	}
+	if err := rl.Unlock(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -50,34 +50,17 @@ func newDeployment(t *testing.T, n int, reg *Registry, repo *CodeRepository, max
 	sn := transport.NewSimNetwork(netsim.Config{Profile: netsim.Perfect(), Seed: seed})
 	t.Cleanup(func() { _ = sn.Close() })
 
-	directory := make(map[wire.SiteID]string, n)
-	stacks := make(map[wire.SiteID]*transport.SimStack, n)
-	for i := 1; i <= n; i++ {
-		site := wire.SiteID(i)
-		stack, err := sn.NewStack(netsim.NodeID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stacks[site] = stack
-		directory[site] = stack.Datagram().LocalAddr()
+	nodes, err := core.StartSimSites(sn, n, func(s *core.SimSite) {
+		s.MNet = mnet.Config{RTO: 25 * time.Millisecond, MaxRetries: 4}
+		s.RequestTimeout = 2 * time.Second
+		s.Log = eventlog.New(4096)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	d := &testDeployment{runtimes: make(map[wire.SiteID]*Runtime), out: &syncWriter{}}
-	for i := 1; i <= n; i++ {
-		site := wire.SiteID(i)
-		ep := mnet.NewEndpoint(stacks[site].Datagram(), mnet.Config{RTO: 25 * time.Millisecond, MaxRetries: 4})
-		node, err := core.NewNode(core.Config{
-			Site:           site,
-			Endpoint:       ep,
-			Stack:          stacks[site],
-			Directory:      directory,
-			IsHome:         site == wire.HomeSite,
-			RequestTimeout: 2 * time.Second,
-			Log:            eventlog.New(4096),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for site, node := range nodes {
 		t.Cleanup(func() { _ = node.Close() })
 		rt, err := New(node, Config{
 			Registry:        reg,

@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"mocha/internal/core"
-	"mocha/internal/eventlog"
 	"mocha/internal/marshal"
-	"mocha/internal/mnet"
 	"mocha/internal/netsim"
 	"mocha/internal/store"
 	"mocha/internal/transport"
@@ -151,42 +149,15 @@ func crashChildWorkload(t *testing.T, dir string) {
 		t.Fatal("child started without " + crashDirEnv)
 	}
 	sim := transport.NewSimNetwork(netsim.Config{Profile: netsim.LANFastEthernet(), Seed: 4242})
-	directory := make(map[wire.SiteID]string, 2)
-	stacks := make(map[wire.SiteID]*transport.SimStack, 2)
-	for i := 1; i <= 2; i++ {
-		site := wire.SiteID(i)
-		stack, err := sim.NewStack(netsim.NodeID(i))
-		if err != nil {
-			t.Fatalf("stack %d: %v", i, err)
+	nodes, err := core.StartSimSites(sim, 2, func(s *core.SimSite) {
+		if s.Site == 2 {
+			s.StoreDir = dir
 		}
-		stacks[site] = stack
-		directory[site] = stack.Datagram().LocalAddr()
-	}
-	nodes := make(map[wire.SiteID]*core.Node, 2)
-	for i := 1; i <= 2; i++ {
-		site := wire.SiteID(i)
-		storeDir := ""
-		if site == 2 {
-			storeDir = dir
-		}
-		node, err := core.NewNode(core.Config{
-			Site:            site,
-			Endpoint:        mnet.NewEndpoint(stacks[site].Datagram(), mnet.Config{Cost: netsim.Native()}),
-			Stack:           stacks[site],
-			Directory:       directory,
-			IsHome:          site == wire.HomeSite,
-			Codec:           marshal.NewFast(netsim.Native()),
-			Cost:            netsim.Native(),
-			Mode:            core.ModeMNet,
-			StoreDir:        storeDir,
-			RequestTimeout:  5 * time.Second,
-			TransferTimeout: 10 * time.Second,
-			Log:             eventlog.Nop(),
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		nodes[site] = node
+		s.RequestTimeout = 5 * time.Second
+		s.TransferTimeout = 10 * time.Second
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	ctx := context.Background()

@@ -241,43 +241,44 @@ func NativeCost() CostModel { return netsim.Native() }
 type Option func(*options)
 
 type options struct {
-	profile     Profile
-	cost        CostModel
-	mode        TransferMode
-	javaCodec   bool
-	seed        int64
-	key         []byte
-	output      optWriter
-	maxServers  int
-	lease       time.Duration
-	reqTimeout  time.Duration
-	xferTimeout time.Duration
-	leaseSweep  time.Duration
-	scale       float64
-	perms       *Permissions
-	streamReuse bool
-	fanout      int
-	delta       bool
-	tree        bool
-	placement   bool
-	resolver    Resolver
-	history     core.HistorySink
-	metrics     *obs.Registry
-	noMetrics   bool
-	storeDir    string
-	storeLimit  int
+	// node is the config every site's node starts from: each node-level
+	// option sets the field it names, and siteConfig fills in the fields
+	// that differ per site.
+	node       core.Config
+	profile    Profile
+	cost       CostModel
+	javaCodec  bool
+	seed       int64
+	key        []byte
+	output     optWriter
+	maxServers int
+	scale      float64
+	perms      *Permissions
+	resolver   Resolver
+	noMetrics  bool
 }
 
 // optWriter keeps io out of the options struct zero value.
 type optWriter interface{ Write(p []byte) (int, error) }
 
-func defaultOptions() options {
-	return options{
+// newOptions applies opts over the defaults and settles the metrics
+// registry every site records into: none WithoutMetrics, the caller's
+// WithMetrics, a fresh one otherwise.
+func newOptions(opts []Option) options {
+	o := options{
 		profile: netsim.LANFastEthernet(),
 		cost:    netsim.Native(),
-		mode:    core.ModeMNet,
 		scale:   1,
 	}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.noMetrics {
+		o.node.Metrics = nil
+	} else if o.node.Metrics == nil {
+		o.node.Metrics = obs.NewRegistry()
+	}
+	return o
 }
 
 // WithEnvironment selects the network profile (default LAN).
@@ -287,7 +288,7 @@ func WithEnvironment(p Profile) Option { return func(o *options) { o.profile = p
 func WithCostModel(c CostModel) Option { return func(o *options) { o.cost = c } }
 
 // WithTransferMode selects the replica transfer protocol (default MNet).
-func WithTransferMode(m TransferMode) Option { return func(o *options) { o.mode = m } }
+func WithTransferMode(m TransferMode) Option { return func(o *options) { o.node.Mode = m } }
 
 // WithJavaCodec uses the JDK 1.1-style byte-at-a-time marshaling codec
 // instead of the fast custom codec.
@@ -309,16 +310,20 @@ func WithOutput(w optWriter) Option { return func(o *options) { o.output = w } }
 func WithMaxServers(n int) Option { return func(o *options) { o.maxServers = n } }
 
 // WithLease sets the default lock lease for failure detection.
-func WithLease(d time.Duration) Option { return func(o *options) { o.lease = d } }
+func WithLease(d time.Duration) Option { return func(o *options) { o.node.DefaultLease = d } }
 
 // WithRequestTimeout bounds control-message operations.
-func WithRequestTimeout(d time.Duration) Option { return func(o *options) { o.reqTimeout = d } }
+func WithRequestTimeout(d time.Duration) Option {
+	return func(o *options) { o.node.RequestTimeout = d }
+}
 
 // WithTransferTimeout bounds replica transfers.
-func WithTransferTimeout(d time.Duration) Option { return func(o *options) { o.xferTimeout = d } }
+func WithTransferTimeout(d time.Duration) Option {
+	return func(o *options) { o.node.TransferTimeout = d }
+}
 
 // WithLeaseSweep sets how often expired leases are checked.
-func WithLeaseSweep(d time.Duration) Option { return func(o *options) { o.leaseSweep = d } }
+func WithLeaseSweep(d time.Duration) Option { return func(o *options) { o.node.LeaseSweep = d } }
 
 // WithTimeScale multiplies every simulated delay and modelled cost by f,
 // letting tests run calibrated environments quickly (f < 1).
@@ -333,20 +338,22 @@ func WithTaskPermissions(p Permissions) Option {
 // WithStreamReuse caches hybrid-protocol connections per destination
 // instead of paying connection setup and teardown on every transfer — the
 // extension the paper's hybrid-protocol results point at.
-func WithStreamReuse() Option { return func(o *options) { o.streamReuse = true } }
+func WithStreamReuse() Option { return func(o *options) { o.node.StreamReuse = true } }
 
 // WithDeltaTransfer enables delta-encoded replica transfer: releases and
 // transfers ship only the byte ranges changed since the version the
 // receiver already holds (chained through a bounded update log), falling
 // back to the full copy whenever the chain is broken. Off by default —
 // the paper's protocols always send the full marshaled replica.
-func WithDeltaTransfer() Option { return func(o *options) { o.delta = true } }
+func WithDeltaTransfer() Option { return func(o *options) { o.node.DeltaTransfer = true } }
 
 // WithDisseminationFanout bounds how many replica push transfers run
 // concurrently when a release disseminates a new version to several sites.
 // The default (0) runs all pushes in parallel, overlapping their round
 // trips; 1 reproduces the paper prototype's strictly sequential fan-out.
-func WithDisseminationFanout(n int) Option { return func(o *options) { o.fanout = n } }
+func WithDisseminationFanout(n int) Option {
+	return func(o *options) { o.node.DisseminationFanout = n }
+}
 
 // WithDisseminationTree enables locality-aware release dissemination:
 // sharing sites are clustered into RTT buckets, each bucket elects a
@@ -354,7 +361,7 @@ func WithDisseminationFanout(n int) Option { return func(o *options) { o.fanout 
 // the relay re-fans it over its local links — instead of once per
 // sharer. Buckets degrade to direct pushes around failed or unhealthy
 // relays. Off by default (the paper's flat fan-out).
-func WithDisseminationTree() Option { return func(o *options) { o.tree = true } }
+func WithDisseminationTree() Option { return func(o *options) { o.node.DisseminationTree = true } }
 
 // WithHomePlacement replaces the fixed lock home of the paper's design
 // with a partitioned, mobile lock namespace: lock records are spread over
@@ -373,7 +380,7 @@ func WithDisseminationTree() Option { return func(o *options) { o.tree = true } 
 // lock's lease. Off by default (the paper's single fixed home, whose
 // Unlock blocks until the home acknowledged and reports an unreachable
 // home as an error).
-func WithHomePlacement() Option { return func(o *options) { o.placement = true } }
+func WithHomePlacement() Option { return func(o *options) { o.node.HomePlacement = true } }
 
 // WithDurableStore backs every site's replica state with a log-structured
 // file store rooted at dir (each site writes under its own subdirectory).
@@ -385,7 +392,7 @@ func WithHomePlacement() Option { return func(o *options) { o.placement = true }
 // everything. Off by default: the paper's replicas live in memory only and
 // a crashed site returns empty.
 func WithDurableStore(dir string) Option {
-	return func(o *options) { o.storeDir = dir }
+	return func(o *options) { o.node.StoreDir = dir }
 }
 
 // WithStoreMemLimit caps the bytes of replica payloads the durable store
@@ -393,7 +400,7 @@ func WithDurableStore(dir string) Option {
 // bytes remain in the log) and transparently refaulted on next access.
 // Zero (the default) means no cap. Only meaningful with WithDurableStore.
 func WithStoreMemLimit(bytes int) Option {
-	return func(o *options) { o.storeLimit = bytes }
+	return func(o *options) { o.node.StoreMemLimit = bytes }
 }
 
 // WithResolver sets the conflict resolver for the sites' session stores
@@ -413,7 +420,7 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // WithMetrics attaches a caller-provided observability registry instead of
 // the cluster's default one. All sites of the cluster record into it.
-func WithMetrics(m *Metrics) Option { return func(o *options) { o.metrics = m } }
+func WithMetrics(m *Metrics) Option { return func(o *options) { o.node.Metrics = m } }
 
 // WithoutMetrics disables the observability plane entirely: no registry is
 // allocated and every instrumentation point degrades to a nil-receiver
@@ -423,13 +430,4 @@ func WithoutMetrics() Option { return func(o *options) { o.noMetrics = true } }
 // WithHistory attaches a history sink to every site in the cluster,
 // turning the run into a checkable totally-ordered protocol history. Off
 // by default: recording adds a replica digest per lock transition.
-func WithHistory(sink HistorySink) Option { return func(o *options) { o.history = sink } }
-
-// codec builds the configured marshal codec.
-func (o options) codec() marshal.Codec {
-	cost := o.cost.Scaled(o.scale)
-	if o.javaCodec {
-		return marshal.NewJavaStyle(cost)
-	}
-	return marshal.NewFast(cost)
-}
+func WithHistory(sink HistorySink) Option { return func(o *options) { o.node.History = sink } }
